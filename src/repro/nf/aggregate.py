@@ -110,28 +110,36 @@ class AggregateNF(NF):
     # -- semantics ------------------------------------------------------
 
     def process(self, state: NFState, pkt: PacketView) -> str:
-        state.count("packets_total")
-        if pkt.dst_port != self.agg_port:
+        # NFState.count inlined on the plain dict: this runs per packet.
+        counters = state.counters
+        counters["packets_total"] = counters.get("packets_total", 0) + 1
+        flow = pkt.flow
+        if flow[3] != self.agg_port:
             # Not an aggregation packet: standard forwarding path.
-            state.count("packets_passthrough")
+            counters["packets_passthrough"] = (
+                counters.get("packets_passthrough", 0) + 1)
             return VERDICT_FORWARD
-        group = pkt.dst_ip
-        entry = state.table.get(group)
+        group = flow[1]
+        table = state.table
+        entry = table.get(group)
         if entry is None:
-            if len(state.table) >= self.max_groups:
-                state.count("packets_no_group")
+            if len(table) >= self.max_groups:
+                counters["packets_no_group"] = (
+                    counters.get("packets_no_group", 0) + 1)
                 return VERDICT_FORWARD
-            entry = state.table[group] = _GroupEntry()
+            entry = table[group] = _GroupEntry()
         entry.acc = (entry.acc + pkt.payload_word) & 0xFFFFFFFF
         entry.count += 1
-        state.count("packets_aggregated")
+        counters["packets_aggregated"] = (
+            counters.get("packets_aggregated", 0) + 1)
         if entry.count >= self.window:
             # Block complete: the Result packet departs in this packet's
             # place, so the verdict is forward.
             state.exports.append(
                 ("agg", group, entry.seq, entry.count, entry.acc)
             )
-            state.count("blocks_completed")
+            counters["blocks_completed"] = (
+                counters.get("blocks_completed", 0) + 1)
             entry.seq += 1
             entry.acc = 0
             entry.count = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.headers import FlowKey, flow_key
@@ -188,15 +188,26 @@ def run_chain(
             f"placement has {len(placement)} backends for {len(nfs)} NFs"
         )
     states: List[NFState] = [NFState() for __ in nfs]
+    # Bound once per run: the packet loop below is the hot path.
+    stages = [(nf.process, state) for nf, state in zip(nfs, states)]
+    # Slots grouped by cadence, so a packet pays one modulo per distinct
+    # epoch_packets value rather than one per NF.
+    slots_of: Dict[int, List[int]] = {}
+    for slot, nf in enumerate(nfs):
+        slots_of.setdefault(nf.epoch_packets, []).append(slot)
+    cadences = tuple(slots_of.items())
     flow_verdicts: Dict[FlowKey, List[int]] = {}
     epochs_done = [0] * len(nfs)
     for pkt in trace:
         verdict = VERDICT_FORWARD
-        for nf, state in zip(nfs, states):
-            verdict = nf.process(state, pkt)
+        for process, state in stages:
+            verdict = process(state, pkt)
             if verdict != VERDICT_FORWARD:
                 break
-        tally = flow_verdicts.setdefault(pkt.flow, [0, 0, 0])
+        flow = pkt.flow
+        tally = flow_verdicts.get(flow)
+        if tally is None:
+            tally = flow_verdicts[flow] = [0, 0, 0]
         if verdict == VERDICT_FORWARD:
             tally[0] += 1
         elif verdict == VERDICT_DROP:
@@ -206,9 +217,14 @@ def run_chain(
         else:
             raise ValueError(f"NF returned unknown verdict {verdict!r}")
         tick = pkt.index + 1
-        for slot, (nf, state) in enumerate(zip(nfs, states)):
-            if tick % nf.epoch_packets == 0:
-                nf.on_epoch(state, epochs_done[slot])
+        due: Optional[List[int]] = None
+        for period, slots in cadences:
+            if tick % period == 0:
+                # Cadences that coincide on one tick fire in slot order.
+                due = slots if due is None else sorted(due + slots)
+        if due is not None:
+            for slot in due:
+                nfs[slot].on_epoch(states[slot], epochs_done[slot])
                 epochs_done[slot] += 1
     return ChainRunResult(
         spec=spec,

@@ -376,23 +376,29 @@ class FirewallNF(NF):
     # -- semantics ------------------------------------------------------
 
     def process(self, state: NFState, pkt: PacketView) -> str:
-        state.count("packets_total")
-        entry = state.table.get(pkt.src_ip)
+        # NFState.count inlined on the plain dict: this runs per packet.
+        counters = state.counters
+        counters["packets_total"] = counters.get("packets_total", 0) + 1
+        table = state.table
+        source = pkt.flow[0]
+        entry = table.get(source)
         if entry is None:
-            if len(state.table) >= self.max_sources:
+            if len(table) >= self.max_sources:
                 # Table full: forward unpoliced rather than stall traffic.
-                state.count("packets_unpoliced")
+                counters["packets_unpoliced"] = (
+                    counters.get("packets_unpoliced", 0) + 1)
                 return VERDICT_FORWARD
-            entry = state.table[pkt.src_ip] = _SourceEntry()
+            entry = table[source] = _SourceEntry()
+        entry.seen_this_epoch = True
         if entry.blocked:
             # First-instruction drop, as on the Trio data path.
-            entry.seen_this_epoch = True
-            state.count("packets_blocked")
+            counters["packets_blocked"] = (
+                counters.get("packets_blocked", 0) + 1)
             return VERDICT_DROP
-        entry.seen_this_epoch = True
         entry.packets_this_epoch += 1
         if entry.packets_this_epoch > self.allowed_packets_per_epoch:
-            state.count("packets_dropped_policer")
+            counters["packets_dropped_policer"] = (
+                counters.get("packets_dropped_policer", 0) + 1)
             return VERDICT_DROP
         return VERDICT_FORWARD
 

@@ -288,15 +288,20 @@ class TelemetryNF(NF):
     # -- semantics ------------------------------------------------------
 
     def process(self, state: NFState, pkt: PacketView) -> str:
-        state.count("packets_total")
-        entry = state.table.get(pkt.flow)
+        # NFState.count inlined on the plain dict: this runs per packet.
+        counters = state.counters
+        counters["packets_total"] = counters.get("packets_total", 0) + 1
+        table = state.table
+        flow = pkt.flow
+        entry = table.get(flow)
         if entry is None:
-            if len(state.table) >= self.max_flows:
+            if len(table) >= self.max_flows:
                 # Table full: forward uncounted rather than stall traffic.
-                state.count("flows_dropped_capacity")
+                counters["flows_dropped_capacity"] = (
+                    counters.get("flows_dropped_capacity", 0) + 1)
                 return VERDICT_FORWARD
-            entry = state.table[pkt.flow] = _FlowEntry()
-            state.count("flows_tracked")
+            entry = table[flow] = _FlowEntry()
+            counters["flows_tracked"] = counters.get("flows_tracked", 0) + 1
         entry.packets += 1
         entry.bytes += pkt.length
         entry.seen_this_epoch = True

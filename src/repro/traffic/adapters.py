@@ -65,6 +65,8 @@ def run_fluid(scenario: TrafficScenario,
     thresholds — a pure function of ``(scenario, num_flows, seed)`` in
     any process layout.
     """
+    if num_flows < 1:
+        raise ValueError(f"run needs >= 1 flows: {num_flows}")
     reset_reference_caches()
     env = Environment()
     fabric = scenario.fabric
@@ -95,11 +97,14 @@ _SRC_MAC = MACAddress(0x02_00_00_00_00_01)
 _DST_MAC = MACAddress(0x02_00_00_00_00_02)
 
 
-def _fabric_ip(scenario: TrafficScenario, host: str,
-               index_of: Dict[str, int]) -> IPv4Address:
-    """The address :func:`build_leaf_spine` gives this fabric host."""
-    leaf, index = scenario.fabric.host_address(index_of[host])
-    return IPv4Address(f"10.{leaf}.0.{index + 1}")
+def _fabric_ips(scenario: TrafficScenario) -> Dict[str, IPv4Address]:
+    """The address :func:`build_leaf_spine` gives each fabric host."""
+    fabric = scenario.fabric
+    addresses: Dict[str, IPv4Address] = {}
+    for host_index, host in enumerate(fabric.host_names()):
+        leaf, index = fabric.host_address(host_index)
+        addresses[host] = IPv4Address(f"10.{leaf}.0.{index + 1}")
+    return addresses
 
 
 def packet_stream(
@@ -128,8 +133,7 @@ def packet_stream(
         num_flows = num_packets
     env = Environment()
     flows = scenario.generate(env, num_flows)
-    index_of = {name: i
-                for i, name in enumerate(scenario.fabric.host_names())}
+    ip_of = _fabric_ips(scenario)
     spacing_s = (DEFAULT_MTU_PAYLOAD_BYTES * 8.0
                  / scenario.fabric.host_bandwidth_bps)
     spoofed = (scenario.spoofed_sources
@@ -147,6 +151,7 @@ def packet_stream(
 
     views: List[PacketView] = []
     attack_seq: Dict[int, int] = {}
+    spoof_ips: Dict[int, IPv4Address] = {}
     for index, (_, seq, _k) in enumerate(events[:num_packets]):
         flow = flows[seq]
         if flow.service == "ddos" and spoofed > 0:
@@ -155,14 +160,16 @@ def packet_stream(
             # concentrate on `spoofed` addresses however many flood
             # flows the scenario launched.
             spoof = attack_seq.setdefault(seq, len(attack_seq))
+            pool = spoof % spoofed
+            spoof_ip = spoof_ips.get(pool)
+            if spoof_ip is None:
+                spoof_ip = spoof_ips[pool] = IPv4Address(
+                    f"10.99.{pool // 200}.{pool % 200 + 1}")
             packet = Packet.udp(
                 src_mac=_SRC_MAC,
                 dst_mac=_DST_MAC,
-                src_ip=IPv4Address(
-                    f"10.99.{(spoof % spoofed) // 200}."
-                    f"{(spoof % spoofed) % 200 + 1}"
-                ),
-                dst_ip=_fabric_ip(scenario, flow.dst, index_of),
+                src_ip=spoof_ip,
+                dst_ip=ip_of[flow.dst],
                 src_port=3000 + spoof % 64,
                 dst_port=443,
                 payload=bytes(64),
@@ -171,8 +178,8 @@ def packet_stream(
             packet = Packet.udp(
                 src_mac=_SRC_MAC,
                 dst_mac=_DST_MAC,
-                src_ip=_fabric_ip(scenario, flow.src, index_of),
-                dst_ip=_fabric_ip(scenario, flow.dst, index_of),
+                src_ip=ip_of[flow.src],
+                dst_ip=ip_of[flow.dst],
                 src_port=1024 + flow.flow_id % 60_000,
                 dst_port=2000 + flow.flow_id % 16,
                 payload=bytes(64),

@@ -100,6 +100,54 @@ def test_collect_quick_schema():
     }
 
 
+class _Ones(dict):
+    """A bench result whose every figure is 1.0."""
+
+    def __missing__(self, key):
+        return 1.0
+
+
+#: Benches that return a dict of figures; every other bench returns one.
+_DICT_BENCHES = {"bench_packet_path", "bench_figure_sweep", "bench_flowsim",
+                 "bench_obs_overhead", "bench_flowsim_scale"}
+
+
+@pytest.fixture
+def stub_benches(monkeypatch):
+    """Replace every bench with an instant stub; returns name -> kwargs."""
+    calls = {}
+    for name in perfjson.__all__:
+        if not name.startswith("bench_"):
+            continue
+
+        def stub(*args, _name=name, **kwargs):
+            calls[_name] = kwargs
+            return _Ones() if _name in _DICT_BENCHES else 1.0
+
+        monkeypatch.setattr(perfjson, name, stub)
+    return calls
+
+
+@pytest.mark.parametrize("kwargs, scaled", [
+    ({"quick": True}, False),
+    ({}, False),
+    ({"quick": True, "scale": False}, False),
+    ({"scale": True}, True),
+])
+def test_collect_runs_scale_point_only_on_request(stub_benches, kwargs,
+                                                  scaled):
+    doc = perfjson.collect(**kwargs)
+    assert ("bench_flowsim_scale" in stub_benches) is scaled
+    assert ("flowsim_scale" in doc) is scaled
+
+
+def test_collect_quick_shrinks_kernel_sizing(stub_benches):
+    perfjson.collect(quick=True)
+    assert stub_benches["bench_delay_path"]["events"] == 50_000
+    perfjson.collect()
+    assert stub_benches["bench_delay_path"]["events"] == 200_000
+
+
 def test_main_writes_json(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     monkeypatch.setattr(

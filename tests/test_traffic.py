@@ -376,6 +376,11 @@ class TestFluidRuns:
         escalated = sum(result.escalations.values())
         assert escalated < 150
 
+    @pytest.mark.parametrize("num_flows", [0, -5])
+    def test_run_fluid_rejects_empty_runs(self, num_flows):
+        with pytest.raises(ValueError, match="flows"):
+            run_fluid(get_scenario("cache"), num_flows)
+
 
 # ---------------------------------------------------------------------------
 # Packet adapter vs the firewall -> telemetry chain
