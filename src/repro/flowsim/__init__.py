@@ -55,12 +55,7 @@ from repro.flowsim.scenario import (
     generate_flows,
     run_scenario,
 )
-from repro.flowsim.solver import (
-    MIN_RATE_BPS,
-    PathClassSolver,
-    max_min_class_rates,
-    max_min_rates,
-)
+from repro.flowsim.solver import MIN_RATE_BPS, PathClassSolver
 
 __all__ = [
     "ActiveFlow",
@@ -78,8 +73,6 @@ __all__ = [
     "ScenarioResult",
     "build_leaf_spine",
     "generate_flows",
-    "max_min_class_rates",
-    "max_min_rates",
     "packet_fan_in",
     "packet_pair",
     "packet_pfe_goodput",

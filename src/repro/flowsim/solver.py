@@ -7,22 +7,19 @@ fair allocation: repeatedly find the most constrained link (smallest
 equal share among its unfrozen flows), freeze every flow crossing it at
 that share, subtract, and continue until all flows are frozen.
 
-Two implementations share that semantics:
+:class:`PathClassSolver` is the incremental *path-class* solver the
+engine uses.  Flows sharing an identical directed-link signature
+collapse into one variable carrying a multiplicity, so a solve runs
+over O(distinct paths) variables regardless of flow count; the
+bottleneck search is a walk over a sorted seed list instead of a full
+per-iteration link scan; and per-link flow counts plus link->class
+membership stay alive across solves so arrivals/departures are
+O(path length) deltas.
 
-* :func:`max_min_rates` — the from-scratch per-flow reference.  It
-  rebuilds the per-link state on every call and scans every unfrozen
-  flow per water-filling iteration: O(flows x path length) per
-  iteration.  Kept as the executable specification the property tests
-  compare against.
-* :class:`PathClassSolver` — the incremental *path-class* solver the
-  engine uses.  Flows sharing an identical directed-link signature
-  collapse into one variable carrying a multiplicity, so a solve runs
-  over O(distinct paths) variables regardless of flow count; the
-  bottleneck search is heap-based instead of a full per-iteration link
-  scan; and per-link flow counts plus link->class membership stay alive
-  across solves so arrivals/departures are O(path length) deltas.
-
-The two are **bit-identical** — not merely approximately equal.  The
+It is **bit-identical** — not merely approximately equal — to
+from-scratch per-flow progressive filling, whose executable
+specification (``max_min_rates``, with the one-shot class-level
+``max_min_class_rates``) lives in ``tests/flowsim_oracles.py``.  The
 class-level freeze applies the same clamped-at-zero capacity
 subtraction once per member flow (in a tight loop) rather than a fused
 ``mult * share`` multiply, because repeated float subtraction rounds
@@ -52,13 +49,11 @@ pure function of the inputs.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "MIN_RATE_BPS",
     "PathClassSolver",
-    "max_min_class_rates",
-    "max_min_rates",
 ]
 
 #: Floor on any allocated rate, so overload cannot stall the event loop.
@@ -66,82 +61,6 @@ MIN_RATE_BPS = 1e3
 
 #: A path class's directed-link signature: the link keys in path order.
 PathSig = Tuple[int, ...]
-
-
-def max_min_rates(
-    flow_links: Mapping[int, Sequence[int]],
-    capacity_bps: Mapping[int, float],
-    pinned_bps: Optional[Mapping[int, float]] = None,
-) -> Dict[int, float]:
-    """Max-min fair rates for elastic flows over directed links.
-
-    Args:
-        flow_links: flow id -> the directed-link keys it traverses.
-            Flows listed here are *elastic* (rate decided by fairness).
-        capacity_bps: directed-link key -> capacity in bps.
-        pinned_bps: directed-link key -> total demand already committed
-            to pinned (escalated) flows on that link, subtracted from
-            capacity before sharing.  ``None`` means no pinned demand
-            (a ``None`` sentinel, not a shared mutable ``{}`` default).
-
-    Returns:
-        flow id -> allocated rate (bps), every flow >= MIN_RATE_BPS.
-    """
-    if pinned_bps is None:
-        pinned_bps = {}
-    # remaining capacity and unfrozen-flow count per link
-    remaining: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for flow_id, links in flow_links.items():
-        for key in links:
-            counts[key] = counts.get(key, 0) + 1
-    for key, count in counts.items():
-        cap = capacity_bps[key] - pinned_bps.get(key, 0.0)
-        remaining[key] = cap if cap > 0.0 else 0.0
-
-    rates: Dict[int, float] = {}
-    unfrozen = dict(flow_links)
-    while unfrozen:
-        # The bottleneck link: smallest equal share among its flows.
-        share = None
-        for key, count in counts.items():
-            if count <= 0:
-                continue
-            candidate = remaining[key] / count
-            if share is None or candidate < share:
-                share = candidate
-        if share is None:
-            # Remaining flows traverse only links with no unfrozen
-            # counts — cannot happen by construction, but stay safe.
-            for flow_id in unfrozen:
-                rates[flow_id] = MIN_RATE_BPS
-            break
-        share = max(share, MIN_RATE_BPS)
-        # Freeze every unfrozen flow crossing a link at (or numerically
-        # below) the bottleneck share.
-        threshold = share * (1.0 + 1e-12)
-        frozen = [
-            flow_id
-            for flow_id, links in unfrozen.items()
-            if any(
-                counts[key] > 0 and remaining[key] / counts[key] <= threshold
-                for key in links
-            )
-        ]
-        if not frozen:
-            # Numerical corner: nothing met the threshold (degenerate
-            # capacities); freeze everything at the floor to terminate.
-            frozen = list(unfrozen)
-            share = MIN_RATE_BPS
-        for flow_id in frozen:
-            rates[flow_id] = share
-            for key in unfrozen[flow_id]:
-                counts[key] -= 1
-                remaining[key] -= share
-                if remaining[key] < 0.0:
-                    remaining[key] = 0.0
-            del unfrozen[flow_id]
-    return rates
 
 
 class PathClassSolver:
@@ -172,7 +91,7 @@ class PathClassSolver:
     share.  This enumerates exactly the saturated set the reference
     implementation finds by scanning every link per iteration.
 
-    Results are bit-identical to :func:`max_min_rates` called with the
+    Results are bit-identical to per-flow progressive filling over the
     expanded per-flow inputs (see the module docstring for why).
     """
 
@@ -228,10 +147,17 @@ class PathClassSolver:
         self.changed: Dict[PathSig, float] = {}
 
     def _intern(self, key: int) -> int:
+        cap = self._capacity.get(key)
+        if cap is None:
+            raise ValueError(f"link {key!r} has no capacity entry")
+        if not cap >= 0.0:
+            raise ValueError(
+                f"link {key!r} capacity must be >= 0 bps, got {cap!r}"
+            )
         idx = len(self._idx2key)
         self._key2idx[key] = idx
         self._idx2key.append(key)
-        self._cap.append(self._capacity[key])
+        self._cap.append(cap)
         self._pinned.append(0.0)
         self._counts.append(0)
         self._members.append({})
@@ -256,37 +182,49 @@ class PathClassSolver:
     # -- membership / demand deltas -------------------------------------
 
     def add(self, sig: PathSig, count: int = 1) -> None:
-        """Add ``count`` flows with directed-link signature ``sig``."""
+        """Add ``count`` flows with directed-link signature ``sig``.
+
+        Raises ``ValueError``, with the solver unchanged, when a link of
+        a new class has no capacity entry or a NaN or negative one.
+        """
         info = self._info.get(sig)
-        self._nflows += count
         counts = self._counts
         if info is None:
-            # A class created (or re-created after dying) carries no
-            # previous rate, so its first solve back always reports it
-            # in ``changed``, whatever rate it gets.
-            info = [count, (), 0, None]
-            self._info[sig] = info
+            # Intern every link before touching any state, so a link
+            # _intern rejects leaves the solver as it was.
             key2idx = self._key2idx
-            members = self._members
             idxs = []
             for key in sig:
                 idx = key2idx.get(key)
                 if idx is None:
                     idx = self._intern(key)
                 idxs.append(idx)
+            # A class created (or re-created after dying) carries no
+            # previous rate, so its first solve back always reports it
+            # in ``changed``, whatever rate it gets.
+            info = [count, tuple(idxs), 0, None]
+            self._info[sig] = info
+            members = self._members
+            for idx in idxs:
                 counts[idx] += count
                 members[idx][sig] = info
                 self._reseed(idx)
-            info[1] = tuple(idxs)
         else:
             info[0] += count
             for idx in info[1]:
                 counts[idx] += count
                 self._reseed(idx)
+        self._nflows += count
 
     def remove(self, sig: PathSig, count: int = 1) -> None:
-        """Remove ``count`` flows from the class with signature ``sig``."""
-        info = self._info[sig]
+        """Remove ``count`` flows from the class with signature ``sig``.
+
+        Raises ``ValueError`` when no such class is live or it has fewer
+        than ``count`` members.
+        """
+        info = self._info.get(sig)
+        if info is None:
+            raise ValueError(f"no live path class with signature {sig!r}")
         have = info[0] - count
         if have < 0:
             raise ValueError(
@@ -359,7 +297,7 @@ class PathClassSolver:
 
         ``pinned_bps`` overrides the accumulated :meth:`pin` state for
         this call: per-link inelastic demand subtracted from capacity
-        before sharing, exactly as in :func:`max_min_rates`.  With the
+        before sharing, as in per-flow progressive filling.  With the
         default ``None`` the solver's own pinned state applies.
         """
         self._run(pinned_bps)
@@ -497,20 +435,3 @@ class PathClassSolver:
                     if info[3] != min_rate:
                         info[3] = min_rate
                         changed[sig] = min_rate
-
-
-def max_min_class_rates(
-    class_flows: Mapping[PathSig, int],
-    capacity_bps: Mapping[int, float],
-    pinned_bps: Optional[Mapping[int, float]] = None,
-) -> Dict[PathSig, float]:
-    """One-shot convenience: class signature+multiplicity -> fair rate.
-
-    Builds a :class:`PathClassSolver`, registers every class, and runs
-    a single solve.  Used by tests comparing the class-level result
-    against the per-flow reference.
-    """
-    solver = PathClassSolver(capacity_bps)
-    for sig, count in class_flows.items():
-        solver.add(sig, count)
-    return solver.solve(pinned_bps)

@@ -40,9 +40,11 @@ class Topology:
         self.links: List[Link] = []
         #: port name -> owning node name, for flow-path resolution.
         self._port_owner: Dict[str, str] = {}
-        #: Memoised node adjacency for :meth:`find_path`; rebuilt after
-        #: any link or port-ownership change.
+        #: Memoised node adjacency and per-source BFS parent maps for
+        #: :meth:`find_path`; both rebuilt after any link or
+        #: port-ownership change.
         self._adjacency: Optional[Dict[str, List[Tuple[str, Hop]]]] = None
+        self._trees: Dict[str, Dict[str, Tuple[str, Hop]]] = {}
 
     def add_host(self, host: Host) -> Host:
         """Register a host by its name (and its NIC port for routing)."""
@@ -50,7 +52,7 @@ class Topology:
             raise ValueError(f"duplicate host name: {host.name!r}")
         self.hosts[host.name] = host
         self._port_owner[host.nic.port.name] = host.name
-        self._adjacency = None
+        self._routing_changed()
         return host
 
     def add_device(self, name: str, device: object) -> object:
@@ -68,7 +70,7 @@ class Topology:
         :meth:`find_path` can route through the device.
         """
         self._port_owner[port.name] = node_name
-        self._adjacency = None
+        self._routing_changed()
         return port
 
     def port_owner(self, port: Port) -> Optional[str]:
@@ -91,6 +93,27 @@ class Topology:
             raise ValueError(f"unknown node: {dst!r}")
         if src == dst:
             return []
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = self._bfs_tree(src)
+        if dst not in tree:
+            raise ValueError(f"no path from {src!r} to {dst!r}")
+        path: List[Hop] = []
+        cursor = dst
+        while cursor != src:
+            cursor, step = tree[cursor]
+            path.append(step)
+        path.reverse()
+        return path
+
+    def _bfs_tree(self, src: str) -> Dict[str, Tuple[str, Hop]]:
+        """Breadth-first parent map of every node reachable from ``src``.
+
+        Maps each node to ``(parent, hop into it)``.  The search runs to
+        completion, but a node's parent is fixed when it is first
+        reached, so the path to any ``dst`` is the one a search stopping
+        at ``dst`` would find.
+        """
         # node -> list of (neighbour node, hop), in link-insertion
         # order; memoised across calls since a topology is static once
         # built (any mutation clears the cache).
@@ -115,17 +138,14 @@ class Topology:
                     if neighbour in came_from:
                         continue
                     came_from[neighbour] = (node, hop)
-                    if neighbour == dst:
-                        path: List[Hop] = []
-                        cursor = dst
-                        while cursor != src:
-                            cursor, step = came_from[cursor]
-                            path.append(step)
-                        path.reverse()
-                        return path
                     next_frontier.append(neighbour)
             frontier = next_frontier
-        raise ValueError(f"no path from {src!r} to {dst!r}")
+        return came_from
+
+    def _routing_changed(self) -> None:
+        """Drop the memoised adjacency and BFS trees."""
+        self._adjacency = None
+        self._trees.clear()
 
     def connect(
         self,
@@ -147,7 +167,7 @@ class Topology:
             loss_seed=loss_seed,
         )
         self.links.append(link)
-        self._adjacency = None
+        self._routing_changed()
         return link
 
     def host(self, name: str) -> Host:

@@ -20,8 +20,6 @@ from repro.flowsim import (
     ScenarioConfig,
     build_leaf_spine,
     generate_flows,
-    max_min_class_rates,
-    max_min_rates,
     packet_fan_in,
     packet_pair,
     reset_reference_caches,
@@ -32,6 +30,7 @@ from repro.flowsim.calibrate import FlowCalibrationSpec, calibrate
 from repro.flowsim.escalate import _degree_bucket
 from repro.flowsim.scenario import host_name
 from repro.sim import FLOW_LEVEL_PRIORITY, PACKET_LEVEL_PRIORITY, Environment
+from tests.flowsim_oracles import max_min_class_rates, max_min_rates
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +243,34 @@ class TestPathClassSolverEquivalence:
         # the engine builds a fresh class object for it.
         solver.add((0,), 2)
         assert solver.resolve() == {(0,): 5e9}
+
+
+class TestSolverBoundary:
+    @pytest.mark.parametrize("capacity", [float("nan"), -1.0])
+    def test_bad_capacity_rejected_at_intern(self, capacity):
+        solver = PathClassSolver({1: capacity})
+        with pytest.raises(ValueError, match="link 1 capacity"):
+            solver.add((1,))
+        with pytest.raises(ValueError, match="link 1 capacity"):
+            solver.pin(1, 0.0)
+
+    def test_add_over_unknown_link_names_it(self):
+        solver = PathClassSolver({0: 10e9})
+        with pytest.raises(ValueError, match="link 7 has no capacity"):
+            solver.add((0, 7), 2)
+        # The rejected add left no trace: the solver still works.
+        assert solver.num_classes == 0 and solver.num_flows == 0
+        solver.add((0,), 2)
+        assert solver.resolve() == {(0,): 5e9}
+
+    def test_remove_absent_class_rejected(self):
+        solver = PathClassSolver({0: 10e9})
+        with pytest.raises(ValueError, match="no live path class"):
+            solver.remove((0,))
+        solver.add((0,))
+        solver.remove((0,))
+        with pytest.raises(ValueError, match="no live path class"):
+            solver.remove((0,))
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +554,90 @@ class TestScenario:
         assert len(cross_leaf) == 4      # host -> leaf -> spine -> leaf -> host
         with pytest.raises(ValueError, match="unknown node"):
             topology.find_path("nope", host_name(0, 0))
+
+    def test_find_path_memo_matches_fresh_topology(self):
+        """Every host pair's path from the per-source BFS memo equals
+        the one a freshly built topology returns for that pair alone,
+        and the one a search stopping at ``dst`` finds."""
+        config = ScenarioConfig(leaves=3, hosts_per_leaf=3)
+        memoised = build_leaf_spine(Environment(), config)
+        names = list(memoised.hosts)
+
+        def hop_names(path):
+            return [(link.ports[0].name, link.ports[1].name, port.name)
+                    for link, port in path]
+
+        for src in names:
+            for dst in names:
+                fresh = build_leaf_spine(Environment(), config)
+                path = hop_names(memoised.find_path(src, dst))
+                assert path == hop_names(fresh.find_path(src, dst))
+                assert path == hop_names(_early_exit_path(fresh, src, dst))
+
+    def test_find_path_memo_invalidated_by_mutation(self):
+        """connect, register_port and add_host each drop the memoised
+        BFS trees: a path cached before the change reflects it after."""
+        from repro.net import Host, IPv4Address, MACAddress, Port
+
+        src, dst = host_name(0, 0), host_name(1, 0)
+        config = ScenarioConfig(leaves=2, hosts_per_leaf=2)
+
+        # connect: a leaf0 <-> leaf1 shortcut skips the spine.
+        env = Environment()
+        topology = build_leaf_spine(env, config)
+        a, b = Port(env, "short-a"), Port(env, "short-b")
+        topology.register_port(a, "leaf0")
+        topology.register_port(b, "leaf1")
+        assert len(topology.find_path(src, dst)) == 4
+        topology.connect(a, b)
+        assert len(topology.find_path(src, dst)) == 3
+
+        # register_port: the shortcut counts once both ends are owned.
+        env = Environment()
+        topology = build_leaf_spine(env, config)
+        a, b = Port(env, "short-a"), Port(env, "short-b")
+        topology.register_port(a, "leaf0")
+        topology.connect(a, b)
+        assert len(topology.find_path(src, dst)) == 4
+        topology.register_port(b, "leaf1")
+        assert len(topology.find_path(src, dst)) == 3
+
+        # add_host: a host wired before it was added becomes reachable.
+        env = Environment()
+        topology = build_leaf_spine(env, config)
+        late = Host(env, "late", MACAddress(0x02_00_00_00_09_01),
+                    IPv4Address("10.9.0.1"))
+        down = Port(env, "leaf0:late")
+        topology.register_port(down, "leaf0")
+        topology.connect(late.nic.port, down)
+        assert len(topology.find_path(src, dst)) == 4
+        topology.add_host(late)
+        assert len(topology.find_path(src, "late")) == 2
+
+
+def _early_exit_path(topology, src, dst):
+    """Breadth-first search from ``src`` that stops on reaching ``dst``,
+    over the links in insertion order: the path ``find_path`` must give."""
+    owner = topology.port_owner
+    came_from = {src: None}
+    frontier = [src]
+    while frontier and dst not in came_from:
+        next_frontier = []
+        for node in frontier:
+            for link in topology.links:
+                for tx, rx in (link.ports, link.ports[::-1]):
+                    peer = owner(rx)
+                    if (owner(tx) == node and peer is not None
+                            and peer not in came_from):
+                        came_from[peer] = (node, (link, tx))
+                        next_frontier.append(peer)
+        frontier = next_frontier
+    path = []
+    cursor = dst
+    while cursor != src:
+        cursor, hop = came_from[cursor]
+        path.append(hop)
+    return path[::-1]
 
 
 class TestCalibration:
