@@ -18,8 +18,9 @@ traffic at a few megabytes per CPU-second.  This package adds a flow
   run at packet level and pin their rates into the solver;
 * :mod:`repro.flowsim.packetref` — the packet-level reference
   microsimulations escalation and calibration are pinned to;
-* :mod:`repro.flowsim.scenario` — canonical leaf/spine fabric + seeded
-  workloads for benchmarks and sweeps;
+* :mod:`repro.flowsim.fabric` — the leaf/spine fabric and
+  :func:`~repro.flowsim.fabric.run_flows`, the one fluid runner (the
+  workloads it runs live in :mod:`repro.traffic`);
 * :mod:`repro.flowsim.calibrate` — the CI-gated calibration bridge
   (``python -m repro.flowsim.calibrate --werror``).
 """
@@ -33,6 +34,13 @@ from repro.flowsim.escalate import (
     EscalationConfig,
     EscalationPolicy,
     reset_reference_caches,
+)
+from repro.flowsim.fabric import (
+    FabricShape,
+    FluidRunResult,
+    build_leaf_spine,
+    host_name,
+    run_flows,
 )
 from repro.flowsim.flow import (
     ActiveFlow,
@@ -48,13 +56,6 @@ from repro.flowsim.packetref import (
     packet_pair,
     packet_pfe_goodput,
 )
-from repro.flowsim.scenario import (
-    ScenarioConfig,
-    ScenarioResult,
-    build_leaf_spine,
-    generate_flows,
-    run_scenario,
-)
 from repro.flowsim.solver import MIN_RATE_BPS, PathClassSolver
 
 __all__ = [
@@ -63,20 +64,20 @@ __all__ = [
     "EscalationConfig",
     "EscalationPolicy",
     "FRAME_OVERHEAD_BYTES",
+    "FabricShape",
     "FlowRecord",
     "FlowSpec",
     "FluidEngine",
+    "FluidRunResult",
     "MIN_RATE_BPS",
     "PathClassSolver",
     "PacketRefResult",
-    "ScenarioConfig",
-    "ScenarioResult",
     "build_leaf_spine",
-    "generate_flows",
+    "host_name",
     "packet_fan_in",
     "packet_pair",
     "packet_pfe_goodput",
     "reset_reference_caches",
-    "run_scenario",
+    "run_flows",
     "wire_efficiency",
 ]

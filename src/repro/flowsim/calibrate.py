@@ -34,15 +34,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.flowsim import packetref
-from repro.flowsim.engine import FluidEngine
-from repro.flowsim.escalate import (
-    EscalationConfig,
-    EscalationPolicy,
-    reset_reference_caches,
-)
+from repro.flowsim.fabric import FabricShape, host_name, run_flows
 from repro.flowsim.flow import FlowRecord, FlowSpec
-from repro.flowsim.scenario import ScenarioConfig, build_leaf_spine, host_name
-from repro.sim import Environment
 
 __all__ = [
     "PAIR_BAND",
@@ -104,24 +97,14 @@ class CalibrationCase:
 
 
 def _run_fluid(specs: List[FlowSpec],
-               bandwidth_bps: float,
-               escalation: Optional[EscalationConfig] = None
-               ) -> List[FlowRecord]:
+               bandwidth_bps: float) -> List[FlowRecord]:
     """Run explicit flows through the fluid engine on a one-leaf fabric."""
-    reset_reference_caches()
-    env = Environment()
-    fabric = ScenarioConfig(
+    fabric = FabricShape(
         leaves=1, hosts_per_leaf=16,
         host_bandwidth_bps=bandwidth_bps,
         uplink_bandwidth_bps=4 * bandwidth_bps,
     )
-    topology = build_leaf_spine(env, fabric)
-    policy = EscalationPolicy(escalation or EscalationConfig())
-    engine = FluidEngine(env, topology, policy=policy)
-    for spec in specs:
-        env.call_at(spec.start_s, engine.start_flow, spec)
-    env.run()
-    return engine.records
+    return run_flows(fabric, lambda _env: specs).records
 
 
 def _mean_fct(records: List[FlowRecord]) -> float:

@@ -86,6 +86,13 @@ def _map_points(worker: Callable, points: Sequence,
     parent = _obs.session()
     if parent is not None:
         return _map_points_observed(worker, points, parallel, parent)
+    return _pool_map(worker, points, parallel)
+
+
+def _pool_map(worker: Callable, points: List,
+              parallel: Optional[int]) -> List:
+    """``[worker(p) for p in points]``, across up to ``parallel``
+    processes seeded with this process's default seed."""
     if not parallel or parallel <= 1 or len(points) <= 1:
         return [worker(point) for point in points]
     from concurrent.futures import ProcessPoolExecutor
@@ -111,21 +118,8 @@ def _map_points_observed(worker: Callable, points: List,
     Both modes execute the identical enable-run-export sequence per
     point, so the merged snapshot is bit-identical serial vs parallel.
     """
-    captured = _obs.CapturedWorker(worker)
-    indexed = list(enumerate(points))
-    if not parallel or parallel <= 1 or len(points) <= 1:
-        pairs = [captured(item) for item in indexed]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.sim import default_seed, set_default_seed
-
-        with ProcessPoolExecutor(
-            max_workers=min(parallel, len(points)),
-            initializer=set_default_seed,
-            initargs=(default_seed(),),
-        ) as pool:
-            pairs = list(pool.map(captured, indexed))
+    pairs = _pool_map(_obs.CapturedWorker(worker), list(enumerate(points)),
+                      parallel)
     results = []
     for result, exported in pairs:
         parent.merge(exported)
@@ -877,12 +871,12 @@ class HybridRow:
 
 def _hybrid_point(args: Tuple[int, float, float]) -> HybridRow:
     """One offered-load point: a full hybrid scenario run."""
-    from repro.flowsim import ScenarioConfig, run_scenario
+    from repro.traffic import HybridScenario, run_fluid
 
     num_flows, load, mean_flow_bytes = args
-    result = run_scenario(ScenarioConfig(
-        num_flows=num_flows, load=load, mean_flow_bytes=mean_flow_bytes,
-    ))
+    result = run_fluid(HybridScenario(load=load,
+                                      mean_flow_bytes=mean_flow_bytes),
+                       num_flows)
     summary = result.summary
     return HybridRow(
         load=load,
@@ -923,13 +917,11 @@ def profile_flowsim_slice(num_flows: int = 300) -> Dict[str, float]:
     escalated-flow spans in simulated time) and the metrics snapshot
     gains the ``flowsim.*`` counters the profile report lists.
     """
-    from repro.flowsim import ScenarioConfig, run_scenario
+    from repro.traffic import HybridScenario, run_fluid
 
-    result = run_scenario(ScenarioConfig(
-        num_flows=num_flows,
-        incast_fraction=0.1,
-        aggregation_fraction=0.1,
-    ))
+    result = run_fluid(HybridScenario(incast_fraction=0.1,
+                                      aggregation_fraction=0.1),
+                       num_flows)
     stats: Dict[str, float] = {
         "simulated_s": result.sim_seconds,
         "flows": result.summary["flows"],

@@ -240,16 +240,18 @@ def bench_flowsim(num_flows: int = 10_000,
                   repeats: int = 2) -> Dict[str, float]:
     """Simulated traffic per CPU second through the hybrid flow level.
 
-    Runs the canonical :mod:`repro.flowsim` leaf/spine scenario — incast
-    bursts, a straggler host, and synchronised aggregation steps all
-    escalating to packet-level references — and reports payload bytes
-    carried to completion per CPU second.  Divided by the macro packet
+    Runs the canonical hybrid workload
+    (:class:`repro.traffic.HybridScenario`) — incast bursts, a straggler
+    host, and synchronised aggregation steps all escalating to
+    packet-level references — and reports payload bytes carried to
+    completion per CPU second.  Divided by the macro packet
     path's :func:`bench_packet_path` figure, this is the hybrid
     simulation's headline ratio, floored at
     :data:`FLOWSIM_SPEEDUP_FLOOR` by ``--check``.
     """
-    from repro.flowsim import ScenarioConfig, run_scenario
+    from repro.traffic import HybridScenario, run_fluid
 
+    scenario = HybridScenario()
     payload_bytes = 0.0
     sim_seconds = 0.0
     flows = 0
@@ -261,9 +263,8 @@ def bench_flowsim(num_flows: int = 10_000,
     def once() -> float:
         nonlocal payload_bytes, sim_seconds, flows, escalated
         nonlocal events, wake_cancelled, wake_reused
-        config = ScenarioConfig(num_flows=num_flows)
         start = time.process_time()  # detlint: ok(benchmark harness)
-        result = run_scenario(config)
+        result = run_fluid(scenario, num_flows)
         elapsed = time.process_time() - start  # detlint: ok(benchmark)
         payload_bytes = result.simulated_payload_bytes
         sim_seconds = result.sim_seconds

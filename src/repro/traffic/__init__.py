@@ -12,14 +12,16 @@ Layout mirrors the other pluggable subsystems:
 
 * :mod:`~repro.traffic.samplers` — the distribution toolbox;
 * :mod:`~repro.traffic.base` — the :class:`TrafficScenario` interface
-  and the :class:`FabricShape` its endpoints live on;
+  (endpoints live on :class:`repro.flowsim.FabricShape`, re-exported
+  here);
 * :mod:`~repro.traffic.registry` — name-keyed scenario lookup
   (``register_scenario`` / ``get_scenario`` / ``available_scenarios``);
 * :mod:`~repro.traffic.scenarios` — the six built-in families
-  (registered on import);
+  (registered on import) and the unregistered :class:`HybridScenario`,
+  the canonical hybrid-simulation workload;
 * :mod:`~repro.traffic.adapters` — compilation into the fluid level
-  (:func:`run_fluid`) or NF-chain packet streams
-  (:func:`packet_stream`).
+  (:func:`run_fluid`, over :func:`repro.flowsim.run_flows`) or NF-chain
+  packet streams (:func:`packet_stream`).
 """
 
 from repro.traffic.adapters import (
@@ -51,6 +53,7 @@ from repro.traffic.scenarios import (
     BUILTIN_SCENARIOS,
     DDoSScenario,
     FanInScenario,
+    HybridScenario,
     MixedScenario,
     register_builtin_scenarios,
 )
@@ -64,6 +67,7 @@ __all__ = [
     "FabricShape",
     "FanInScenario",
     "FluidRunResult",
+    "HybridScenario",
     "LognormalSizes",
     "MixedScenario",
     "OnOffArrivals",

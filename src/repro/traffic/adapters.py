@@ -16,17 +16,10 @@ flood the flow level only models as fan-in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.flowsim.engine import FluidEngine
-from repro.flowsim.escalate import EscalationPolicy, reset_reference_caches
-from repro.flowsim.flow import (
-    DEFAULT_MTU_PAYLOAD_BYTES,
-    FlowRecord,
-    FlowSpec,
-)
-from repro.flowsim.scenario import ScenarioConfig, build_leaf_spine
+from repro.flowsim.fabric import FluidRunResult, run_flows
+from repro.flowsim.flow import DEFAULT_MTU_PAYLOAD_BYTES
 from repro.net import IPv4Address, MACAddress
 from repro.net.packet import Packet
 from repro.nf.base import PacketView
@@ -42,55 +35,19 @@ __all__ = [
 ]
 
 
-@dataclass
-class FluidRunResult:
-    """Outcome of one fluid-level scenario run."""
-
-    scenario: str
-    records: List[FlowRecord]
-    summary: Dict[str, float]
-    escalations: Dict[str, int]
-    sim_seconds: float
-    simulated_payload_bytes: float
-    solves: int
-
-
 def run_fluid(scenario: TrafficScenario,
               num_flows: int) -> FluidRunResult:
     """Run ``num_flows`` of ``scenario`` through the fluid engine.
 
-    The same shape as :func:`repro.flowsim.scenario.run_scenario`:
-    fresh reference caches, an Environment built from the process
-    default seed, the scenario's fabric, and the scenario's escalation
-    thresholds — a pure function of ``(scenario, num_flows, seed)`` in
-    any process layout.
+    On the scenario's fabric with the scenario's escalation thresholds,
+    through :func:`repro.flowsim.run_flows` — a pure function of
+    ``(scenario, num_flows, seed)`` in any process layout.
     """
     if num_flows < 1:
         raise ValueError(f"run needs >= 1 flows: {num_flows}")
-    reset_reference_caches()
-    env = Environment()
-    fabric = scenario.fabric
-    topology = build_leaf_spine(env, ScenarioConfig(
-        leaves=fabric.leaves,
-        hosts_per_leaf=fabric.hosts_per_leaf,
-        host_bandwidth_bps=fabric.host_bandwidth_bps,
-        uplink_bandwidth_bps=fabric.uplink_bandwidth_bps,
-        propagation_s=fabric.propagation_s,
-    ))
-    policy = EscalationPolicy(scenario.escalation())
-    engine = FluidEngine(env, topology, policy=policy)
-    for spec in scenario.generate(env, num_flows):
-        env.call_at(spec.start_s, engine.start_flow, spec)
-    env.run()
-    return FluidRunResult(
-        scenario=scenario.name,
-        records=engine.records,
-        summary=engine.summary(),
-        escalations=engine.escalations,
-        sim_seconds=env.now,
-        simulated_payload_bytes=engine.completed_payload_bytes,
-        solves=engine.solves,
-    )
+    return run_flows(scenario.fabric,
+                     lambda env: scenario.generate(env, num_flows),
+                     scenario.escalation(), scenario.name)
 
 
 _SRC_MAC = MACAddress(0x02_00_00_00_00_01)
@@ -99,7 +56,7 @@ _PAYLOAD = bytes(64)
 
 
 def _fabric_ips(scenario: TrafficScenario) -> Dict[str, IPv4Address]:
-    """The address :func:`build_leaf_spine` gives each fabric host."""
+    """The address :func:`~repro.flowsim.build_leaf_spine` gives each host."""
     fabric = scenario.fabric
     addresses: Dict[str, IPv4Address] = {}
     for host_index, host in enumerate(fabric.host_names()):

@@ -11,8 +11,7 @@ Data Centre Networks" (Parsonson et al., PAPERS.md): empirical
 flow-size CDF tables (web-search- and cache-shaped), lognormal and
 Pareto parametric sizes, Poisson and on/off-modulated interarrivals,
 and Zipf flow-popularity skew.  :func:`fan_in_burst` is the shared
-synchronised-burst endpoint draw that :mod:`repro.flowsim.scenario`'s
-incast and aggregation arms are re-expressed through.
+synchronised-burst endpoint draw of every fan-in burst.
 """
 
 from __future__ import annotations
@@ -60,10 +59,8 @@ class ArrivalProcess(Protocol):
 class ExponentialSizes:
     """Exponential flow sizes with a frame-sized floor.
 
-    Draw-for-draw identical to the original hand-rolled expression in
-    :mod:`repro.flowsim.scenario` (``max(min, expovariate(1/mean))``),
-    which is what keeps the ``hybrid`` sweep bit-identical after the
-    dedup refactor.
+    ``max(min, expovariate(1/mean))``: one draw per flow, the size law
+    of the ``hybrid`` sweep's workload.
     """
 
     mean_bytes: float
@@ -330,11 +327,8 @@ def fan_in_burst(rng: Random, num_hosts: int,
     """Endpoint draw for one synchronised fan-in burst.
 
     Picks a target host uniformly, then ``min(degree, num_hosts - 1)``
-    distinct senders from the rest.  This is *the* draw pattern of
-    :mod:`repro.flowsim.scenario`'s incast and aggregation arms —
-    moved here verbatim (same RNG call sequence) so both that module
-    and the traffic scenarios share one implementation and the hybrid
-    sweep output stays bit-identical.
+    distinct senders from the rest.  Every fan-in burst (incast,
+    aggregation, microburst trains) draws its endpoints here.
     """
     if num_hosts < 2:
         raise ValueError(f"fan-in needs >= 2 hosts: {num_hosts}")

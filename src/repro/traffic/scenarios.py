@@ -33,12 +33,21 @@ the taxonomy of the datacenter traffic-generation literature
 Every family keeps its offered load comfortably below the fabric's
 bottlenecks so the fluid level's active-flow set stays bounded at
 10^5–10^6 flows.
+
+:class:`HybridScenario`, the canonical workload of the ``hybrid``
+sweep, is built here too but not registered.  It, ``incast``,
+``microburst`` and ``ddos`` share one arrival loop
+(:class:`BurstScenario`) and differ only in their burst emitters.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import abc
+from dataclasses import dataclass
+from random import Random
+from typing import Any, Callable, List, Optional, Tuple
 
+from repro.flowsim.escalate import EscalationConfig
 from repro.flowsim.flow import FlowSpec
 from repro.sim import Environment
 from repro.traffic.base import FabricShape, TrafficScenario
@@ -62,6 +71,7 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "DDoSScenario",
     "FanInScenario",
+    "HybridScenario",
     "MixedScenario",
     "register_builtin_scenarios",
 ]
@@ -72,11 +82,10 @@ class MixedScenario(TrafficScenario):
 
     Arrival rate is sized so offered load is ``load`` times the
     aggregate host access bandwidth (the same convention as
-    :class:`repro.flowsim.scenario.ScenarioConfig`).  With
-    ``burst_arrivals`` the Poisson process is replaced by an on/off
-    modulated one at the same long-run rate; with ``dst_skew`` /
-    ``src_skew`` endpoints are drawn Zipf(popularity rank = host
-    index) instead of uniformly.
+    :class:`BurstScenario`).  With ``burst_arrivals`` the Poisson
+    process is replaced by an on/off modulated one at the same long-run
+    rate; with ``dst_skew`` / ``src_skew`` endpoints are drawn
+    Zipf(popularity rank = host index) instead of uniformly.
     """
 
     def __init__(
@@ -158,15 +167,113 @@ class MixedScenario(TrafficScenario):
         return flows
 
 
-class FanInScenario(TrafficScenario):
-    """Bulk background plus synchronised fan-in burst trains.
+#: Emits one burst at time ``now``: appends its flows to ``flows``
+#: (ids continuing from ``len(flows)``) and returns how many it added.
+BurstEmitter = Callable[[Random, List[str], float, List[FlowSpec]], int]
 
-    Each burst picks one victim and ``burst_degree`` distinct senders
-    (via :func:`~repro.traffic.samplers.fan_in_burst`), then emits
-    ``burst_rounds`` back-to-back waves spaced ``round_spacing_s``
-    apart — one round is a classic incast, several rounds of tiny
-    flows are a microburst train.
+
+@dataclass(frozen=True)
+class FanIn:
+    """A synchronised fan-in burst: one victim, ``degree`` distinct
+    senders (via :func:`~repro.traffic.samplers.fan_in_burst`), sending
+    ``rounds`` back-to-back waves spaced ``spacing_s`` apart.  One round
+    is a classic incast; several rounds of tiny flows are a microburst
+    train."""
+
+    degree: int
+    flow_bytes: float
+    service: str
+    rounds: int = 1
+    spacing_s: float = 0.0
+
+    def __call__(self, rng: Random, hosts: List[str], now: float,
+                 flows: List[FlowSpec]) -> int:
+        victim, senders = fan_in_burst(rng, len(hosts), self.degree)
+        dst = hosts[victim]
+        for wave in range(self.rounds):
+            when = now + wave * self.spacing_s
+            for sender in senders:
+                flows.append(FlowSpec(
+                    flow_id=len(flows),
+                    src=hosts[sender],
+                    dst=dst,
+                    size_bytes=self.flow_bytes,
+                    start_s=when,
+                    service=self.service,
+                ))
+        return len(senders) * self.rounds
+
+
+class BurstScenario(TrafficScenario):
+    """Poisson arrivals of uniform ``"bulk"`` flows, some of them bursts.
+
+    At each arrival every burst kind, in :meth:`burst_kinds` order and
+    while its flow budget (``fraction`` of the flow count) lasts, wins
+    with probability ``fraction`` and emits its burst; if none wins the
+    arrival is one background flow.  Subclasses supply only the kinds.
     """
+
+    def __init__(self, background: SizeSampler, mean_size_bytes: float,
+                 load: float, fabric: FabricShape):
+        super().__init__(fabric)
+        if not 0.0 < load < 1.0:
+            raise ValueError(f"load must be in (0, 1): {load}")
+        self.background = background
+        self.mean_size_bytes = mean_size_bytes
+        self.load = load
+
+    @abc.abstractmethod
+    def burst_kinds(self) -> Tuple[Tuple[float, BurstEmitter], ...]:
+        """``(fraction, emitter)`` per burst kind, in draw order."""
+
+    def generate(self, env: Environment,
+                 num_flows: int) -> List[FlowSpec]:
+        rng = self.rng(env)
+        fabric = self.fabric
+        hosts = fabric.host_names()
+        n = fabric.num_hosts
+        rate = (fabric.aggregate_access_bps * self.load
+                / (self.mean_size_bytes * 8.0))
+        # [fraction, remaining budget, emitter] per kind whose budget
+        # is left; a spent kind draws nothing, so it leaves the list.
+        kinds: List[List[Any]] = [
+            [fraction, budget, emit]
+            for fraction, emit in self.burst_kinds()
+            if (budget := int(num_flows * fraction)) > 0
+        ]
+        # Hot loop: bind the per-flow calls once.
+        expovariate, random, randrange = (
+            rng.expovariate, rng.random, rng.randrange)
+        size = self.background.sample
+        flows: List[FlowSpec] = []
+        append = flows.append
+        now = 0.0
+        while len(flows) < num_flows:
+            now += expovariate(rate)
+            for kind in kinds:
+                if random() < kind[0]:
+                    kind[1] -= kind[2](rng, hosts, now, flows)
+                    if kind[1] <= 0:
+                        kinds.remove(kind)
+                    break
+            else:
+                src = randrange(n)
+                dst = randrange(n - 1)
+                if dst >= src:
+                    dst += 1
+                append(FlowSpec(
+                    flow_id=len(flows),
+                    src=hosts[src],
+                    dst=hosts[dst],
+                    size_bytes=size(rng),
+                    start_s=now,
+                    service="bulk",
+                ))
+        return flows[:num_flows]
+
+
+class FanInScenario(BurstScenario):
+    """Bulk background plus synchronised fan-in bursts (:class:`FanIn`)."""
 
     def __init__(
         self,
@@ -183,9 +290,7 @@ class FanInScenario(TrafficScenario):
         burst_service: str = "incast",
         fabric: FabricShape = FabricShape(),
     ):
-        super().__init__(fabric)
-        if not 0.0 < load < 1.0:
-            raise ValueError(f"load must be in (0, 1): {load}")
+        super().__init__(background, mean_size_bytes, load, fabric)
         if burst_degree < 1 or burst_rounds < 1:
             raise ValueError(
                 f"burst geometry must be >= 1: {burst_degree}, "
@@ -193,64 +298,15 @@ class FanInScenario(TrafficScenario):
             )
         self.name = name
         self.description = description
-        self.background = background
-        self.mean_size_bytes = mean_size_bytes
-        self.load = load
         self.burst_fraction = burst_fraction
-        self.burst_degree = burst_degree
-        self.burst_flow_bytes = burst_flow_bytes
-        self.burst_rounds = burst_rounds
-        self.round_spacing_s = round_spacing_s
-        self.burst_service = burst_service
+        self.burst = FanIn(burst_degree, burst_flow_bytes, burst_service,
+                           burst_rounds, round_spacing_s)
 
-    def generate(self, env: Environment,
-                 num_flows: int) -> List[FlowSpec]:
-        rng = self.rng(env)
-        fabric = self.fabric
-        hosts = fabric.host_names()
-        n = fabric.num_hosts
-        rate = (fabric.aggregate_access_bps * self.load
-                / (self.mean_size_bytes * 8.0))
-        burst_budget = int(num_flows * self.burst_fraction)
-        flows: List[FlowSpec] = []
-        flow_id = 0
-        now = 0.0
-        while len(flows) < num_flows:
-            now += rng.expovariate(rate)
-            if burst_budget > 0 and rng.random() < self.burst_fraction:
-                victim, senders = fan_in_burst(
-                    rng, n, self.burst_degree)
-                for wave in range(self.burst_rounds):
-                    when = now + wave * self.round_spacing_s
-                    for sender in senders:
-                        flows.append(FlowSpec(
-                            flow_id=flow_id,
-                            src=hosts[sender],
-                            dst=hosts[victim],
-                            size_bytes=self.burst_flow_bytes,
-                            start_s=when,
-                            service=self.burst_service,
-                        ))
-                        flow_id += 1
-                burst_budget -= len(senders) * self.burst_rounds
-                continue
-            src = rng.randrange(n)
-            dst = rng.randrange(n - 1)
-            if dst >= src:
-                dst += 1
-            flows.append(FlowSpec(
-                flow_id=flow_id,
-                src=hosts[src],
-                dst=hosts[dst],
-                size_bytes=self.background.sample(rng),
-                start_s=now,
-                service="bulk",
-            ))
-            flow_id += 1
-        return flows[:num_flows]
+    def burst_kinds(self) -> Tuple[Tuple[float, BurstEmitter], ...]:
+        return ((self.burst_fraction, self.burst),)
 
 
-class DDoSScenario(TrafficScenario):
+class DDoSScenario(BurstScenario):
     """Benign background plus spoofed-source flood volleys.
 
     A volley is ``flood_degree`` small ``"ddos"`` flows launched at the
@@ -276,9 +332,7 @@ class DDoSScenario(TrafficScenario):
         spoofed_sources: int = 4,
         fabric: FabricShape = FabricShape(),
     ):
-        super().__init__(fabric)
-        if not 0.0 < load < 1.0:
-            raise ValueError(f"load must be in (0, 1): {load}")
+        super().__init__(background, mean_size_bytes, load, fabric)
         if victims < 1 or victims >= fabric.num_hosts:
             raise ValueError(f"victim pool out of range: {victims}")
         if spoofed_sources < 1:
@@ -286,9 +340,6 @@ class DDoSScenario(TrafficScenario):
                 f"spoofed pool must be >= 1: {spoofed_sources}")
         self.name = name
         self.description = description
-        self.background = background
-        self.mean_size_bytes = mean_size_bytes
-        self.load = load
         self.attack_fraction = attack_fraction
         self.flood_degree = flood_degree
         self.flood_flow_bytes = flood_flow_bytes
@@ -299,52 +350,75 @@ class DDoSScenario(TrafficScenario):
         """The fixed victim pool: the last ``victims`` fabric hosts."""
         return self.fabric.host_names()[-self.victims:]
 
-    def generate(self, env: Environment,
-                 num_flows: int) -> List[FlowSpec]:
-        rng = self.rng(env)
-        fabric = self.fabric
-        hosts = fabric.host_names()
-        n = fabric.num_hosts
-        rate = (fabric.aggregate_access_bps * self.load
-                / (self.mean_size_bytes * 8.0))
-        flood_budget = int(num_flows * self.attack_fraction)
-        flows: List[FlowSpec] = []
-        flow_id = 0
-        now = 0.0
-        while len(flows) < num_flows:
-            now += rng.expovariate(rate)
-            if flood_budget > 0 and rng.random() < self.attack_fraction:
-                victim = n - 1 - rng.randrange(self.victims)
-                senders = rng.sample(
-                    [h for h in range(n) if h != victim],
-                    min(self.flood_degree, n - 1),
-                )
-                for sender in senders:
-                    flows.append(FlowSpec(
-                        flow_id=flow_id,
-                        src=hosts[sender],
-                        dst=hosts[victim],
-                        size_bytes=self.flood_flow_bytes,
-                        start_s=now,
-                        service="ddos",
-                    ))
-                    flow_id += 1
-                flood_budget -= len(senders)
-                continue
-            src = rng.randrange(n)
-            dst = rng.randrange(n - 1)
-            if dst >= src:
-                dst += 1
+    def burst_kinds(self) -> Tuple[Tuple[float, BurstEmitter], ...]:
+        return ((self.attack_fraction, self._volley),)
+
+    def _volley(self, rng: Random, hosts: List[str], now: float,
+                flows: List[FlowSpec]) -> int:
+        n = len(hosts)
+        victim = n - 1 - rng.randrange(self.victims)
+        senders = rng.sample([h for h in range(n) if h != victim],
+                             min(self.flood_degree, n - 1))
+        dst = hosts[victim]
+        for sender in senders:
             flows.append(FlowSpec(
-                flow_id=flow_id,
-                src=hosts[src],
-                dst=hosts[dst],
-                size_bytes=self.background.sample(rng),
+                flow_id=len(flows),
+                src=hosts[sender],
+                dst=dst,
+                size_bytes=self.flood_flow_bytes,
                 start_s=now,
-                service="bulk",
+                service="ddos",
             ))
-            flow_id += 1
-        return flows[:num_flows]
+        return len(senders)
+
+
+class HybridScenario(BurstScenario):
+    """The canonical hybrid-simulation workload.
+
+    Poisson arrivals with exponential sizes, synchronised allreduce
+    steps (``"aggregation"`` fan-ins: the PFE hash-contention escalation
+    trigger), incast fan-ins, and one straggler host — every escalation
+    reason the fluid level has.  The ``hybrid`` sweep, the profile slice
+    and the flowsim bench run it; it is not registered, so the traffic
+    sweep stays at the six families.
+    """
+
+    name = "hybrid"
+    description = ("exponential bulk with aggregation and incast fan-ins "
+                   "and a straggler host")
+    #: A synchronised allreduce step: six workers ship a gradient block
+    #: to one aggregation point at the same instant.  Gradient blocks
+    #: are small and fixed-size: their packet-pinned service rate is
+    #: low (the contended PFE path), so bulk-sized blocks would overload
+    #: that path and grow the active set without bound.
+    aggregation_burst = FanIn(degree=6, flow_bytes=50_000.0,
+                              service="aggregation")
+    #: A classic incast: twelve short flows into one host.
+    incast_burst = FanIn(degree=12, flow_bytes=40_000.0, service="incast")
+    #: Hosts whose transmit side straggles.
+    straggler_hosts: Tuple[str, ...] = ("h00-00",)
+
+    def __init__(self, load: float = 0.5, mean_flow_bytes: float = 2e6,
+                 incast_fraction: float = 0.05,
+                 aggregation_fraction: float = 0.02,
+                 fabric: FabricShape = FabricShape()):
+        super().__init__(ExponentialSizes(mean_flow_bytes),
+                         mean_flow_bytes, load, fabric)
+        self.incast_fraction = incast_fraction
+        self.aggregation_fraction = aggregation_fraction
+
+    @property
+    def stream_key(self) -> str:
+        # Predates the traffic registry's "traffic/<name>" streams; the
+        # pinned goldens depend on this stream's draws.
+        return "flowsim/scenario"
+
+    def burst_kinds(self) -> Tuple[Tuple[float, BurstEmitter], ...]:
+        return ((self.aggregation_fraction, self.aggregation_burst),
+                (self.incast_fraction, self.incast_burst))
+
+    def escalation(self) -> EscalationConfig:
+        return EscalationConfig(straggler_hosts=self.straggler_hosts)
 
 
 def _builtin_scenarios() -> Tuple[TrafficScenario, ...]:

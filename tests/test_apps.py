@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.apps import DDoSMitigator, TelemetryMonitor
 from repro.net import Host, IPv4Address, MACAddress, Topology
+from repro.nf import DDoSMitigator, TelemetryMonitor
 from repro.sim import Environment
 from repro.trio import PFE
 

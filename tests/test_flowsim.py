@@ -16,20 +16,19 @@ from repro.flowsim import (
     FlowSpec,
     FluidEngine,
     MIN_RATE_BPS,
+    FabricShape,
     PathClassSolver,
-    ScenarioConfig,
     build_leaf_spine,
-    generate_flows,
+    host_name,
     packet_fan_in,
     packet_pair,
     reset_reference_caches,
-    run_scenario,
     wire_efficiency,
 )
 from repro.flowsim.calibrate import FlowCalibrationSpec, calibrate
 from repro.flowsim.escalate import _degree_bucket
-from repro.flowsim.scenario import host_name
 from repro.sim import FLOW_LEVEL_PRIORITY, PACKET_LEVEL_PRIORITY, Environment
+from repro.traffic import HybridScenario, run_fluid
 from tests.flowsim_oracles import max_min_class_rates, max_min_rates
 
 
@@ -280,8 +279,8 @@ class TestSolverBoundary:
 
 def _engine(policy=None, **fabric):
     env = Environment()
-    config = ScenarioConfig(leaves=1, hosts_per_leaf=16, **fabric)
-    topology = build_leaf_spine(env, config)
+    topology = build_leaf_spine(
+        env, FabricShape(leaves=1, hosts_per_leaf=16, **fabric))
     engine = FluidEngine(env, topology,
                          policy=policy or EscalationPolicy())
     return env, engine
@@ -528,16 +527,16 @@ class TestPacketReferences:
 
 class TestScenario:
     def test_generate_flows_is_seed_deterministic(self):
-        config = ScenarioConfig(num_flows=200)
-        flows_a = generate_flows(Environment(seed=5), config)
-        flows_b = generate_flows(Environment(seed=5), config)
-        flows_c = generate_flows(Environment(seed=6), config)
+        scenario = HybridScenario()
+        flows_a = scenario.generate(Environment(seed=5), 200)
+        flows_b = scenario.generate(Environment(seed=5), 200)
+        flows_c = scenario.generate(Environment(seed=6), 200)
         assert flows_a == flows_b
         assert flows_a != flows_c
         assert len(flows_a) == 200
 
     def test_run_scenario_completes_all_flows(self):
-        result = run_scenario(ScenarioConfig(num_flows=300))
+        result = run_fluid(HybridScenario(), 300)
         assert result.summary["flows"] == 300
         assert result.simulated_payload_bytes > 0
         assert result.sim_seconds > 0
@@ -547,7 +546,7 @@ class TestScenario:
 
     def test_find_path_routes_across_leaves(self):
         env = Environment()
-        topology = build_leaf_spine(env, ScenarioConfig())
+        topology = build_leaf_spine(env, FabricShape())
         same_leaf = topology.find_path(host_name(0, 0), host_name(0, 1))
         cross_leaf = topology.find_path(host_name(0, 0), host_name(1, 0))
         assert len(same_leaf) == 2       # host -> leaf -> host
@@ -559,8 +558,8 @@ class TestScenario:
         """Every host pair's path from the per-source BFS memo equals
         the one a freshly built topology returns for that pair alone,
         and the one a search stopping at ``dst`` finds."""
-        config = ScenarioConfig(leaves=3, hosts_per_leaf=3)
-        memoised = build_leaf_spine(Environment(), config)
+        fabric = FabricShape(leaves=3, hosts_per_leaf=3)
+        memoised = build_leaf_spine(Environment(), fabric)
         names = list(memoised.hosts)
 
         def hop_names(path):
@@ -569,7 +568,7 @@ class TestScenario:
 
         for src in names:
             for dst in names:
-                fresh = build_leaf_spine(Environment(), config)
+                fresh = build_leaf_spine(Environment(), fabric)
                 path = hop_names(memoised.find_path(src, dst))
                 assert path == hop_names(fresh.find_path(src, dst))
                 assert path == hop_names(_early_exit_path(fresh, src, dst))
@@ -580,11 +579,11 @@ class TestScenario:
         from repro.net import Host, IPv4Address, MACAddress, Port
 
         src, dst = host_name(0, 0), host_name(1, 0)
-        config = ScenarioConfig(leaves=2, hosts_per_leaf=2)
+        fabric = FabricShape(leaves=2, hosts_per_leaf=2)
 
         # connect: a leaf0 <-> leaf1 shortcut skips the spine.
         env = Environment()
-        topology = build_leaf_spine(env, config)
+        topology = build_leaf_spine(env, fabric)
         a, b = Port(env, "short-a"), Port(env, "short-b")
         topology.register_port(a, "leaf0")
         topology.register_port(b, "leaf1")
@@ -594,7 +593,7 @@ class TestScenario:
 
         # register_port: the shortcut counts once both ends are owned.
         env = Environment()
-        topology = build_leaf_spine(env, config)
+        topology = build_leaf_spine(env, fabric)
         a, b = Port(env, "short-a"), Port(env, "short-b")
         topology.register_port(a, "leaf0")
         topology.connect(a, b)
@@ -604,7 +603,7 @@ class TestScenario:
 
         # add_host: a host wired before it was added becomes reachable.
         env = Environment()
-        topology = build_leaf_spine(env, config)
+        topology = build_leaf_spine(env, fabric)
         late = Host(env, "late", MACAddress(0x02_00_00_00_09_01),
                     IPv4Address("10.9.0.1"))
         down = Port(env, "leaf0:late")

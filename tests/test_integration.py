@@ -6,10 +6,10 @@ whole, using multiple subsystems together.
 
 import pytest
 
-from repro.apps import TelemetryMonitor
 from repro.harness import build_single_pfe_testbed
 from repro.ml import GradientQuantizer
 from repro.net import Host, IPv4Address, MACAddress, Topology
+from repro.nf import TelemetryMonitor
 from repro.sim import Environment
 from repro.trio import PFE, TrioApplication
 from repro.trio.chipset import GENERATIONS

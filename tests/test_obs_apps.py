@@ -7,8 +7,8 @@ exported series agree with the counts the apps keep themselves.
 
 import pytest
 
-from repro.apps import DDoSMitigator, TelemetryMonitor
 from repro.net import Host, IPv4Address, MACAddress, Topology
+from repro.nf import DDoSMitigator, TelemetryMonitor
 from repro.obs import bus
 from repro.sim import Environment
 from repro.trio import PFE

@@ -6,8 +6,7 @@ at n = 10^5), the scenario registry, seed-tree determinism (same seed
 escalation taxonomy ("microburst" and "ddos" classes firing in fluid
 runs), the packet adapter's validation against the
 ``firewall -> telemetry`` NF chain, and the golden fingerprints that
-pin :mod:`repro.flowsim.scenario`'s output across the sampler dedup
-refactor.
+pin every generator's draws and the canonical hybrid run's outcome.
 """
 
 import hashlib
@@ -16,7 +15,7 @@ from random import Random
 
 import pytest
 
-from repro.flowsim import ScenarioConfig, generate_flows
+from repro.flowsim.calibrate import calibrate
 from repro.harness.experiments import (
     TRAFFIC_CHAIN,
     _map_points,
@@ -30,6 +29,7 @@ from repro.traffic import (
     CDFTableSizes,
     ExponentialSizes,
     FabricShape,
+    HybridScenario,
     LognormalSizes,
     OnOffArrivals,
     ParetoSizes,
@@ -63,9 +63,8 @@ class TestSamplers:
         assert mean == pytest.approx(2e6, rel=0.02)
 
     def test_exponential_matches_handrolled_draws(self):
-        """The dedup contract: same RNG calls as the original inline
-        expression in flowsim.scenario, so the hybrid sweep is
-        bit-identical across the refactor."""
+        """One expovariate draw per flow, floored: the hybrid sweep's
+        size law, which its pinned goldens depend on."""
         sampler = ExponentialSizes(mean_bytes=2e6)
         a, b = Random(3), Random(3)
         for _ in range(1000):
@@ -317,30 +316,103 @@ def _flows_fingerprint(flows):
     return digest.hexdigest()
 
 
+def _run_fingerprint(result):
+    digest = hashlib.sha256()
+    for record in result.records:
+        digest.update(repr((record.spec.flow_id, record.fct_s.hex(),
+                            record.escalated)).encode())
+    return digest.hexdigest()
+
+
+#: Per registered family: flow-list fingerprints at 500 flows,
+#: (unseeded, seed 5).
+FAMILY_GOLDENS = {
+    "cache": (
+        "4031680bd19055e60d26210ca6115cab5be2e5d45d9a3607d254f3a19502cfcb",
+        "2c847e0c3fb3450691b69a095b431562d91694208da305afc616fe00b18eb6aa",
+    ),
+    "ddos": (
+        "7b45b536baaa5580964e751a78e6cdf383d13b5861592b98372020d4784ae07d",
+        "7f64edb4b965e36d0c94708a8e98c004db3ae95dc9c95d7df7a6668b25d9028e",
+    ),
+    "heavy-hitter": (
+        "2ca5859021278d58344b6e4adef08b2d5971e0b5afdfe8c2290a62a7fa2500e2",
+        "521b778b45080feda640938281616aa730e8db76dc76436d04fb831c6786cab5",
+    ),
+    "incast": (
+        "79dabd1d1e14fbc393271badf82a57a4b4ffd56afa97ac0491e29234c1e07abc",
+        "c27c5e7c2c46ca4441cc2c89f46a676d8b8ec1f40dc7bdc9c343ec3eb1522d76",
+    ),
+    "microburst": (
+        "de91dddbeefce8c128335a3d4f25cf33f3bfd06f58fa0920890595832a8da8ac",
+        "03d29475990631ec382be947ebcdf3dc66bbffbd8cd54ba3bd92ace821a8c3a7",
+    ),
+    "websearch": (
+        "cb2418c08801b348dfc7fdc7487b580c45ee6fb23cc36d83ce6eef052258e341",
+        "2df0d820d7266ab563bc7b5f6364b30e31ef9aa4cd261e9308f30853974e9b28",
+    ),
+}
+
+
 class TestGoldenFingerprints:
-    """Pinned before the samplers were factored out of
-    :mod:`repro.flowsim.scenario`; these hashes are the proof the dedup
-    left every hybrid-sweep draw bit-identical."""
+    """Every generator's draws and the canonical hybrid run's outcome,
+    pinned so refactors of the workload layer stay bit-identical."""
 
     def test_default_config_unseeded(self):
-        flows = generate_flows(Environment(), ScenarioConfig())
+        flows = HybridScenario().generate(Environment(), 2000)
         assert _flows_fingerprint(flows) == (
             "83cfff751e3b12d9d06455a08ae48dbf1fe9bc98bdcdc63f5a262b265e8d250b"
         )
 
     def test_default_config_seed_5(self):
-        flows = generate_flows(Environment(seed=5), ScenarioConfig())
+        flows = HybridScenario().generate(Environment(seed=5), 2000)
         assert _flows_fingerprint(flows) == (
             "0ac2b5d8147ffc40e74cf7ef6538823a60edda1f47fe6aa75fc0710595d9b102"
         )
 
     def test_burst_heavy_config(self):
-        flows = generate_flows(Environment(), ScenarioConfig(
-            num_flows=500, incast_fraction=0.1, aggregation_fraction=0.1,
-        ))
+        flows = HybridScenario(
+            incast_fraction=0.1, aggregation_fraction=0.1,
+        ).generate(Environment(), 500)
         assert _flows_fingerprint(flows) == (
             "7c8dcf90a8e478bab7dc3491cab94cfcf2420113d474bbe7d38636b07bd8ca70"
         )
+
+    def test_registered_families_cover_the_goldens(self):
+        assert tuple(sorted(FAMILY_GOLDENS)) == available_scenarios()
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_GOLDENS))
+    def test_family_flows(self, name):
+        scenario = get_scenario(name)
+        unseeded = scenario.generate(Environment(), 500)
+        seeded = scenario.generate(Environment(seed=5), 500)
+        assert (_flows_fingerprint(unseeded),
+                _flows_fingerprint(seeded)) == FAMILY_GOLDENS[name]
+
+    def test_hybrid_run_default(self):
+        result = run_fluid(HybridScenario(), 2000)
+        assert _run_fingerprint(result) == (
+            "8c9413f569c8821c46ee57a05c17125dc038d3316721eb5714a57bb520f21a9b"
+        )
+        assert result.scheduled_events == 6070
+        assert result.wake == {"scheduled": 2004, "cancelled": 62,
+                               "reused": 1803, "stale": 64}
+
+    def test_hybrid_run_burst_heavy(self):
+        result = run_fluid(HybridScenario(incast_fraction=0.1,
+                                          aggregation_fraction=0.1), 500)
+        assert _run_fingerprint(result) == (
+            "4c1ed73533e2795b7c266ef94d3a7eeacde189c1fc2c44b422b283d815496278"
+        )
+
+    def test_calibration_ratios(self):
+        ratios = {name: case.ratio.hex()
+                  for name, case in calibrate().items()}
+        assert ratios == {
+            "pair": "0x1.019d66394d962p+0",
+            "shared": "0x1.ff9b9b5a11a65p-1",
+            "incast": "0x1.d3c210b816936p-1",
+        }
 
 
 # ---------------------------------------------------------------------------
