@@ -225,10 +225,10 @@ def test_disabled_obs_probe_under_ceiling():
 
 
 def test_disabled_obs_keeps_kernel_throughput():
-    """Observability wiring must not tax the disabled hot loop: the
-    observed-run variant lives in a separate ``_run_observed`` body, so
-    the only disabled-mode cost is one ``enabled()`` check per
-    ``env.run()`` call.  Reuses the delay-path floor as the budget."""
+    """Observability wiring must not tax the disabled hot loop: the one
+    event loop reads ``enabled()`` once per ``env.run()`` call into a
+    local flag, so the disabled-mode cost is that call plus one local
+    test per event.  Reuses the delay-path floor as the budget."""
     from repro.obs import bus
 
     assert not bus.enabled()

@@ -16,6 +16,7 @@ __all__ = [
     "render_fig15",
     "render_fig16",
     "render_hybrid_sweep",
+    "render_loss_recovery",
     "render_program_analysis",
     "render_traffic_sweep",
     "render_ablation",
@@ -24,8 +25,6 @@ __all__ = [
     "fig13_to_csv",
     "fig15_to_csv",
     "fig16_to_csv",
-    "hybrid_to_csv",
-    "traffic_to_csv",
 ]
 
 
@@ -319,32 +318,6 @@ def fig15_to_csv(rows: List["exp.Fig15Row"]) -> str:
     return to_csv(
         ("grads_per_packet", "latency_us", "rate_grads_per_us"),
         [(r.grads_per_packet, r.latency_us, r.rate_grads_per_us)
-         for r in rows],
-    )
-
-
-def hybrid_to_csv(rows: List["exp.HybridRow"]) -> str:
-    return to_csv(
-        ("load", "flows", "mean_fct_ms", "p99_fct_ms",
-         "mean_goodput_gbps", "simulated_gbytes", "sim_seconds",
-         "solves", "escalated"),
-        [(r.load, r.flows, r.mean_fct_ms, r.p99_fct_ms,
-          r.mean_goodput_gbps, r.simulated_gbytes, r.sim_seconds,
-          r.solves, r.escalated_total)
-         for r in rows],
-    )
-
-
-def traffic_to_csv(rows: List["exp.TrafficRow"]) -> str:
-    return to_csv(
-        ("scenario", "flows", "mean_fct_ms", "p99_fct_ms",
-         "mean_goodput_gbps", "simulated_gbytes", "sim_seconds",
-         "solves", "escalated", "chain_packets", "forwarded",
-         "dropped", "consumed"),
-        [(r.scenario, r.flows, r.mean_fct_ms, r.p99_fct_ms,
-          r.mean_goodput_gbps, r.simulated_gbytes, r.sim_seconds,
-          r.solves, r.escalated_total, r.chain_packets, r.forwarded,
-          r.dropped, r.consumed)
          for r in rows],
     )
 

@@ -220,20 +220,11 @@ def bench_figure_sweep(blocks: int = 100,
             total += scheduled
         elapsed = time.process_time() - start  # detlint: ok(benchmark)
         events = total
-        return elapsed
+        return 1.0 / elapsed
 
-    # best == minimum for a duration
-    once()  # warmup
-    best = float("inf")
-    for _ in range(repeats):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            best = min(best, once())
-        finally:
-            if enabled:
-                gc.enable()
-    return {"cpu_s": best, "scheduled_events": events, "blocks": blocks}
+    per_s = _best_of(once, repeats)
+    return {"cpu_s": 1.0 / per_s, "scheduled_events": events,
+            "blocks": blocks}
 
 
 def bench_flowsim(num_flows: int = 10_000,

@@ -31,7 +31,10 @@ loop for that dominant case:
 * :class:`Process` reuses one internal *bounce* event for start-up and for
   resuming after a yield on an already-processed event, instead of
   allocating a fresh event each time.
-* :meth:`Environment.run` inlines the step loop with local bindings.
+* :meth:`Environment.run` is the one event loop (pop, dispatch, recycle,
+  failure check) with local bindings, whatever the stop condition.
+  Observability accounting sits behind a flag read once per call, so a
+  run with :mod:`repro.obs` disabled pays one local test per event.
 
 The fast path is timing-equivalent to the general path: same timestamps,
 same tie-breaking (schedule order), same failure semantics.
@@ -39,6 +42,7 @@ same tie-breaking (schedule order), same failure semantics.
 
 from __future__ import annotations
 
+import math
 import random
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
@@ -192,8 +196,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # false for NaN too
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
@@ -268,50 +272,24 @@ class _Callback(Event):
             self.env._cancelled += 1
 
 
-class AnyOf(Event):
-    """Fires when the first of several events fires.
+class _Condition(Event):
+    """Fires once enough of several events have fired; fails on a failure.
 
-    The value is a dict mapping each fired event to its value.
-    """
-
-    __slots__ = ("events", "_fired")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        self._fired: dict = {}
-        if not self.events:
-            self.succeed(self._fired)
-            return
-        for event in self.events:
-            if event.callbacks is None:
-                self._on_fire(event)
-            else:
-                event.callbacks.append(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._fired[event] = event._value
-        self.succeed(self._fired)
-
-
-class AllOf(Event):
-    """Fires when every one of several events has fired.
-
-    The value is a dict mapping each event to its value.
+    The value is a dict mapping each fired event to its value.  The two
+    public conditions differ only in how many firings complete them.
     """
 
     __slots__ = ("events", "_fired", "_remaining")
 
+    #: True: every event must fire (:class:`AllOf`); False: the first does.
+    _needs_all = True
+
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
         self._fired: dict = {}
-        self._remaining = len(self.events)
+        count = len(self.events)
+        self._remaining = count if self._needs_all else min(count, 1)
         if self._remaining == 0:
             self.succeed(self._fired)
             return
@@ -331,6 +309,19 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._fired)
+
+
+class AnyOf(_Condition):
+    """Fires when the first of several events fires."""
+
+    __slots__ = ()
+    _needs_all = False
+
+
+class AllOf(_Condition):
+    """Fires when every one of several events has fired."""
+
+    __slots__ = ()
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -482,6 +473,8 @@ class Environment:
     def __init__(self, initial_time: float = 0.0,
                  seed: Optional[Any] = None):
         self._now = float(initial_time)
+        if math.isnan(self._now):
+            raise SimulationError("initial_time is NaN")
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._scheduled = 0
         self._cancelled = 0
@@ -554,8 +547,8 @@ class Environment:
         single immediate ``yield`` and never retained, combined, or passed
         to ``run(until=...)``.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # false for NaN too
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         pool = self._delay_pool
         if pool:
             ev = pool.pop()
@@ -578,8 +571,8 @@ class Environment:
         would cost; use it for deferred plain calls that nobody waits on.
         Returns the scheduled event; ``.cancel()`` suppresses the call.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # false for NaN too
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         self._scheduled = seq = self._scheduled + 1
         event = _Callback(self, fn, args)
         heappush(self._queue, (self._now + delay, 1, seq, event))
@@ -601,9 +594,9 @@ class Environment:
         than letting a dead wake-up fire through an epoch guard, and it
         keeps the event heap free of work that will be discarded.
         """
-        if when < self._now:
+        if not when >= self._now:  # false for NaN too
             raise SimulationError(
-                f"call_at({when}) is in the past (now={self._now})"
+                f"call_at({when}) is in the past or NaN (now={self._now})"
             )
         self._scheduled = seq = self._scheduled + 1
         event = _Callback(self, fn, args)
@@ -627,161 +620,65 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        self._now, _, _, event = heappop(self._queue)
-        callbacks = event.callbacks
-        event.callbacks = None
-        if event.__class__ is _Delay:
-            for callback in callbacks:
-                callback(event)
-            event.callbacks = callbacks
-            callbacks.clear()
-            event._value = _PENDING
-            self._delay_pool.append(event)
-            return
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused and not callbacks:
-            # A failed event that nobody was waiting on: surface the error
-            # rather than letting it pass silently.
-            raise event._value
-
     def run(self, until: Optional[float] = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or an event.
 
-        ``until`` may be a number (run until that simulated time) or an
-        :class:`Event` (run until it fires, returning its value).
+        ``until`` may be a number (run until that simulated time; events
+        at exactly ``until`` still run) or an :class:`Event` (run until
+        it fires, returning its value).  An exception that escapes leaves
+        the rest of the queue in place for a later ``run()``.
+
+        While :mod:`repro.obs` records, the loop also counts events by
+        class (``sim.events``), samples the queue depth at each pop
+        (``sim.queue_depth``) and attributes elapsed simulated time to
+        the resumed process (``sim.process_share_s``).
         """
-        if _obs.enabled():
-            return self._run_observed(until)
         stop_event: Optional[Event] = None
-        stop_time = float("inf")
+        stop_time = math.inf
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:  # false for NaN too
                 raise SimulationError(
-                    f"until={stop_time} is in the past (now={self._now})"
+                    f"until={stop_time} is in the past or NaN "
+                    f"(now={self._now})"
                 )
 
-        queue = self._queue
-        pool = self._delay_pool
-        pending = _PENDING
-        pop = heappop
-        if stop_event is None and stop_time == float("inf"):
-            # Unbounded run: the common benchmark/drain shape — no
-            # per-event stop checks.
-            while queue:
-                self._now, _, _, event = pop(queue)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if event.__class__ is _Delay:
-                    for callback in callbacks:
-                        callback(event)
-                    event.callbacks = callbacks
-                    callbacks.clear()
-                    event._value = pending
-                    pool.append(event)
-                    continue
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused and not callbacks:
-                    raise event._value
-            return None
-        while queue:
-            if stop_event is not None and stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            entry = queue[0]
-            if entry[0] > stop_time:
-                self._now = stop_time
-                return None
-            self._now, _, _, event = pop(queue)
-            callbacks = event.callbacks
-            event.callbacks = None
-            if event.__class__ is _Delay:
-                for callback in callbacks:
-                    callback(event)
-                event.callbacks = callbacks
-                callbacks.clear()
-                event._value = pending
-                pool.append(event)
-                continue
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused and not callbacks:
-                raise event._value
-
-        if stop_event is not None:
-            if stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            raise SimulationError(
-                "run(until=event) exhausted the queue before the event fired"
-            )
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-    def _run_observed(self, until: Optional[float] = None) -> Any:
-        """Instrumented twin of :meth:`run`, used while ``repro.obs`` records.
-
-        Identical semantics — same timestamps, tie-breaking, stop handling,
-        failure propagation, and ``_Delay`` recycling — plus per-event
-        metrics: event counts by class, queue-depth distribution, and each
-        process's share of elapsed simulated time.  Kept as a separate loop
-        so the disabled-mode fast paths in :meth:`run` pay nothing.
-        """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise SimulationError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
-
-        registry = _obs.session().registry
-        events_by_kind = registry.counter(
-            "sim.events", "events processed, by event class", ("kind",))
-        queue_depth = registry.histogram(
-            "sim.queue_depth", "event-queue depth at each pop",
-            buckets=tuple(float(2 ** e) for e in range(17)))
-        process_share = registry.counter(
-            "sim.process_share_s",
-            "elapsed simulated time attributed to the resumed process",
-            ("process",))
-
-        queue = self._queue
-        pool = self._delay_pool
-        pending = _PENDING
-        pop = heappop
-        prev_now = self._now
-        while queue:
-            if stop_event is not None and stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            if queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
-            queue_depth.observe(len(queue))
-            self._now, _, _, event = pop(queue)
-            callbacks = event.callbacks
-            event.callbacks = None
-            events_by_kind.inc(1.0, kind=event.__class__.__name__)
-            dt = self._now - prev_now
-            if dt > 0.0:
-                process_share.inc(dt, process=_event_owner(event, callbacks))
+        observed = _obs.enabled()
+        if observed:
+            registry = _obs.session().registry
+            events_by_kind = registry.counter(
+                "sim.events", "events processed, by event class", ("kind",))
+            queue_depth = registry.histogram(
+                "sim.queue_depth", "event-queue depth at each pop",
+                buckets=tuple(float(2 ** e) for e in range(17)))
+            process_share = registry.counter(
+                "sim.process_share_s",
+                "elapsed simulated time attributed to the resumed process",
+                ("process",))
             prev_now = self._now
+
+        queue = self._queue
+        pool = self._delay_pool
+        pending = _PENDING
+        pop = heappop
+        while queue:
+            if stop_event is not None and stop_event.callbacks is None:
+                break
+            if queue[0][0] > stop_time:
+                break
+            self._now, _, _, event = pop(queue)
+            callbacks = event.callbacks
+            event.callbacks = None
+            if observed:
+                queue_depth.observe(len(queue) + 1)  # depth before the pop
+                events_by_kind.inc(1.0, kind=event.__class__.__name__)
+                dt = self._now - prev_now
+                if dt > 0.0:
+                    process_share.inc(
+                        dt, process=_event_owner(event, callbacks))
+                prev_now = self._now
             if event.__class__ is _Delay:
                 for callback in callbacks:
                     callback(event)
@@ -793,6 +690,8 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused and not callbacks:
+                # A failed event that nobody was waiting on: surface the
+                # error rather than letting it pass silently.
                 raise event._value
 
         if stop_event is not None:
@@ -803,7 +702,7 @@ class Environment:
             raise SimulationError(
                 "run(until=event) exhausted the queue before the event fired"
             )
-        if stop_time != float("inf"):
+        if stop_time != math.inf:
             self._now = stop_time
         return None
 

@@ -1,6 +1,7 @@
 """Tests for the repro.obs observability subsystem."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +330,32 @@ class TestObservedKernel:
         bus.disable()
         assert observed.scheduled_events == plain.scheduled_events
         assert observed.now == plain.now
+
+    def test_observed_kernel_metrics_golden(self):
+        """Every ``sim.*`` series of an observed fig14 point plus a
+        chunked ``run(until=3.0)``/``run(until=10.0)`` run, exactly."""
+        from repro.harness.experiments import _fig14_point
+
+        session = bus.enable()
+        try:
+            _fig14_point((2.5, 6, 256, 8))
+            env = Environment()
+
+            def proc():
+                for _ in range(10):
+                    yield env.delay(1.0)
+
+            env.process(proc())
+            env.run(until=3.0)
+            env.run(until=10.0)
+            session.finalize()
+            metrics = json.loads(session.registry.to_json())["metrics"]
+        finally:
+            bus.disable()
+        recorded = {name: entry for name, entry in metrics.items()
+                    if name.startswith("sim.")}
+        golden = Path(__file__).parent / "golden" / "observed_sim_metrics.json"
+        assert recorded == json.loads(golden.read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment, Event, Interrupt, SimulationError, Timeout
-from repro.sim.core import AllOf, AnyOf
+from repro.sim.core import AllOf, AnyOf, FLOW_LEVEL_PRIORITY
 
 
 class TestEnvironment:
@@ -25,10 +28,6 @@ class TestEnvironment:
 
     def test_peek_empty_queue_is_inf(self):
         assert Environment().peek() == float("inf")
-
-    def test_step_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
 
     def test_events_fire_in_timestamp_order(self):
         env = Environment()
@@ -334,3 +333,146 @@ class TestCombinators:
         never = env.event()
         with pytest.raises(SimulationError):
             env.run(until=never)
+
+
+class TestRunUntil:
+    """``run(until=...)`` stop semantics of the one event loop."""
+
+    def test_events_at_exactly_until_run(self):
+        env = Environment()
+        log = []
+
+        def packet_level():
+            log.append(("packet", env.now))
+            # Scheduled at the stop instant, on the later lane.
+            env.call_at(env.now, log.append, ("flow", env.now),
+                        priority=FLOW_LEVEL_PRIORITY)
+
+        env.call_at(2.0, packet_level)
+        env.call_at(2.5, log.append, ("late", 2.5))
+        env.run(until=2.0)
+        assert log == [("packet", 2.0), ("flow", 2.0)]
+        assert env.now == 2.0
+        assert env.peek() == 2.5
+
+    def test_until_processed_event_returns_value_and_pops_nothing(self):
+        env = Environment()
+        done = env.event()
+        done.succeed("v")
+        env.run()
+        fired = []
+        env.call_later(1.0, fired.append, "later")
+        assert env.run(until=done) == "v"
+        assert fired == []
+        assert env.now == 0.0
+        assert env.peek() == 1.0
+
+    def test_run_resumes_after_escaped_exception(self):
+        env = Environment()
+        log = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        env.call_later(1.0, boom)
+        env.call_later(2.0, log.append, "after")
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert env.now == 1.0
+        assert log == []
+        env.run()
+        assert log == ["after"]
+        assert env.now == 2.0
+
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+# One scheduling op: (kind, time, lane, follow-up).  ``time`` is a delay
+# for timeout/delay and an absolute instant for call_at/cancel; a
+# follow-up schedules a flow-lane call at the instant the op fires.
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["timeout", "delay", "call_at", "cancel"]),
+              _TIMES, st.sampled_from([1, FLOW_LEVEL_PRIORITY]),
+              st.booleans()),
+    min_size=1, max_size=25)
+
+
+def _schedule(env, ops, log):
+    handles = []
+
+    def fire(i, follow_up):
+        log.append((i, env.now))
+        if follow_up:
+            env.call_at(env.now, log.append, (-i - 1, env.now),
+                        priority=FLOW_LEVEL_PRIORITY)
+
+    def waiter(i, make, delay, follow_up):
+        yield make(delay)
+        fire(i, follow_up)
+
+    for i, (kind, when, lane, follow_up) in enumerate(ops):
+        if kind == "call_at":
+            handles.append(env.call_at(when, fire, i, follow_up,
+                                       priority=lane))
+        elif kind == "cancel":
+            if handles:
+                env.call_at(when, handles[i % len(handles)].cancel,
+                            priority=lane)
+        else:
+            make = env.timeout if kind == "timeout" else env.delay
+            env.process(waiter(i, make, when, follow_up))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, untils=st.lists(_TIMES, max_size=4))
+def test_chunked_run_matches_one_run(ops, untils):
+    whole_log = []
+    whole = Environment()
+    _schedule(whole, ops, whole_log)
+    whole.run()
+
+    chunked_log = []
+    chunked = Environment()
+    _schedule(chunked, ops, chunked_log)
+    for until in sorted(untils):
+        chunked.run(until=until)
+        assert chunked.now == until
+        assert chunked.peek() > until
+        assert all(t <= until for _, t in chunked_log)
+    chunked.run()
+
+    assert chunked_log == whole_log
+    assert chunked.scheduled_events == whole.scheduled_events
+    assert chunked.cancelled_events == whole.cancelled_events
+    assert chunked.now == max([whole.now] + untils)
+
+
+class TestNaNTimes:
+    """A NaN time compares false with everything; the kernel rejects it
+    instead of letting ``now`` become NaN or a call jump the queue."""
+
+    def test_run_until_nan(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.run(until=math.nan)
+        assert env.now == 0.0
+
+    def test_timeout_nan(self):
+        with pytest.raises(SimulationError):
+            Environment().timeout(math.nan)
+
+    def test_delay_nan(self):
+        with pytest.raises(SimulationError):
+            Environment().delay(math.nan)
+
+    def test_call_later_nan(self):
+        with pytest.raises(SimulationError):
+            Environment().call_later(math.nan, lambda: None)
+
+    def test_call_at_nan(self):
+        with pytest.raises(SimulationError):
+            Environment().call_at(math.nan, lambda: None)
+
+    def test_initial_time_nan(self):
+        with pytest.raises(SimulationError):
+            Environment(initial_time=math.nan)
