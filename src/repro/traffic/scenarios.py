@@ -404,6 +404,16 @@ class HybridScenario(BurstScenario):
                  fabric: FabricShape = FabricShape()):
         super().__init__(ExponentialSizes(mean_flow_bytes),
                          mean_flow_bytes, load, fabric)
+        for knob, fraction in (("incast_fraction", incast_fraction),
+                               ("aggregation_fraction",
+                                aggregation_fraction)):
+            if not 0.0 <= fraction <= 1.0:  # false for NaN too
+                raise ValueError(f"{knob} must be in [0, 1]: {fraction}")
+        if incast_fraction + aggregation_fraction > 1.0:
+            raise ValueError(
+                "incast_fraction + aggregation_fraction must be at most 1: "
+                f"{incast_fraction} + {aggregation_fraction}"
+            )
         self.incast_fraction = incast_fraction
         self.aggregation_fraction = aggregation_fraction
 

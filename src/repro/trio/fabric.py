@@ -5,6 +5,8 @@ Larger routers connect multiple PFEs through an any-to-any fabric that
 support".  We model each directed PFE pair as an independent channel with
 a serialisation rate and fixed transit latency, preserving per-pair
 ordering (cells of one packet stay together at this abstraction level).
+Like a :class:`~repro.net.link.Link` direction, each channel is a
+virtual-time FIFO with one scheduled delivery per packet.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from repro.net.packet import Packet
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 __all__ = ["Fabric"]
 
@@ -31,7 +33,8 @@ class Fabric:
         self.env = env
         self.bandwidth_bps = float(bandwidth_bps)
         self.latency_s = float(latency_s)
-        self._channels: Dict[Tuple[str, str], Store] = {}
+        #: (src, dst) -> when the channel's last packet finishes serialising.
+        self._busy_until: Dict[Tuple[str, str], float] = {}
         self._sinks: Dict[str, Callable[[Packet], None]] = {}
         self.packets = 0
         self.bytes = 0
@@ -41,26 +44,22 @@ class Fabric:
         self._sinks[pfe_name] = sink
 
     def send(self, src: str, dst: str, packet: Packet) -> None:
-        """Queue ``packet`` on the (src, dst) channel."""
-        if dst not in self._sinks:
+        """Serialise ``packet`` on the (src, dst) channel, then deliver it
+        one fabric latency later."""
+        sink = self._sinks.get(dst)
+        if sink is None:
             raise KeyError(f"no PFE named {dst!r} attached to the fabric")
-        key = (src, dst)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = Store(self.env)
-            self._channels[key] = channel
-            self.env.process(
-                self._channel_loop(channel, dst), name=f"fabric:{src}->{dst}"
-            )
         self.packets += 1
         self.bytes += len(packet)
-        channel.put_nowait(packet)
-
-    def _channel_loop(self, channel: Store, dst: str):
-        sinks = self._sinks
-        while True:
-            packet = yield channel.get()
-            yield self.env.delay(packet.bits / self.bandwidth_bps)
-            # Fabric latency elapses in parallel with the next frame's
-            # serialisation: one scheduled delivery, no per-frame process.
-            self.env.call_later(self.latency_s, sinks[dst], packet)
+        env = self.env
+        now = env._now
+        key = (src, dst)
+        start = self._busy_until.get(key, now)
+        if now > start:
+            start = now
+        self._busy_until[key] = done = (
+            start + packet.bits / self.bandwidth_bps
+        )
+        # Fabric latency elapses in parallel with the next packet's
+        # serialisation: one scheduled delivery per packet.
+        env.call_at(done + self.latency_s, sink, packet)

@@ -234,6 +234,11 @@ class SharedMemorySystem:
 
     def __init__(self, env: Environment, config: TrioChipsetConfig,
                  crossbar: Optional[Crossbar] = None):
+        if config.sram_bytes > self.DRAM_BASE - self.SRAM_BASE:
+            raise MemoryError_(
+                f"SRAM of {config.sram_bytes} bytes overlaps DRAM at "
+                f"{self.DRAM_BASE:#x}"
+            )
         self.env = env
         self.config = config
         self.crossbar = crossbar or Crossbar(env, config.crossbar_latency_s)
@@ -243,10 +248,6 @@ class SharedMemorySystem:
         self.dram = MemoryRegion(
             "dram", self.DRAM_BASE, config.dram_bytes, config.dram_latency_s
         )
-        self._regions = (self.sram, self.dram)
-        #: Last region hit — repeated same-address RMW traffic (counters,
-        #: aggregation buffers) resolves without rescanning the region list.
-        self._region_cache: MemoryRegion = self.sram
         self._dram_cache = _DramCache(config.dram_cache_bytes)
         self.rmw = RMWComplex(
             env,
@@ -260,13 +261,10 @@ class SharedMemorySystem:
     # -- region plumbing -------------------------------------------------
 
     def region_of(self, addr: int) -> MemoryRegion:
-        region = self._region_cache
-        if region.base <= addr < region.end:
+        # DRAM sits above all of SRAM, so its base alone picks the region.
+        region = self.dram if addr >= self.DRAM_BASE else self.sram
+        if region.base <= addr < region.base + region.size:
             return region
-        for region in self._regions:
-            if region.contains(addr):
-                self._region_cache = region
-                return region
         raise MemoryError_(f"address {addr:#x} is outside the unified space")
 
     def read_raw(self, addr: int, size: int) -> bytes:

@@ -225,8 +225,17 @@ class ThreadContext:
     # Queueing Subsystem and must be read into LMEM before use)
     # ------------------------------------------------------------------
 
-    def read_tail(self, offset: int, size: int):
-        """XTXN pulling ``size`` tail bytes into LMEM; returns the bytes."""
+    def read_tail(self, offset: int, size: int, more_chunks: int = 0):
+        """XTXN pulling ``size`` tail bytes into LMEM; returns the bytes.
+
+        ``more_chunks`` charges the latency of that many further
+        sequential chunk XTXNs of the Figure 10 loop in the same event.
+        They are pure back-to-back latency with no shared resource
+        between them, so the one event fires at the time the chain of
+        reads would end (the same additions, see
+        :meth:`~repro.sim.Environment.delay_at`); the event count stays
+        linear in packets rather than chunks.
+        """
         if self.packet_ctx is None:
             raise RuntimeError("no packet bound to this thread")
         tail = self.packet_ctx.tail
@@ -234,28 +243,17 @@ class ThreadContext:
             raise ValueError(
                 f"tail offset {offset} outside 0..{len(tail)}"
             )
-        yield self.env.delay(
-            self._take_pending() + self.config.tail_read_latency_s
-        )
+        if more_chunks < 0:
+            raise ValueError(f"negative chunk count: {more_chunks}")
+        env = self.env
+        latency = self.config.tail_read_latency_s
+        when = env.now + (self._take_pending() + latency)
+        if more_chunks:
+            when += more_chunks * latency
+        yield env.delay_at(when)
         chunk = tail[offset:offset + size]
         self.lmem[: len(chunk)] = chunk  # lands in LMEM scratch space
         return chunk
-
-    def read_tail_chunks(self, num_chunks: int):
-        """Charge the latency of ``num_chunks`` sequential tail XTXNs.
-
-        The per-chunk reads of the Figure 10 loop are pure back-to-back
-        latency (no shared resource between them), so lumping them into
-        one delay is timing-equivalent to issuing them one at a time and
-        keeps the event count linear in packets rather than chunks.
-        """
-        if num_chunks < 0:
-            raise ValueError(f"negative chunk count: {num_chunks}")
-        total = self._take_pending() + (
-            num_chunks * self.config.tail_read_latency_s
-        )
-        if total:
-            yield self.env.delay(total)
 
     # ------------------------------------------------------------------
     # Shared Memory System XTXNs (synchronous: thread suspends, §3.1)

@@ -35,6 +35,9 @@ from repro.tools import racecheck as _rc
 
 __all__ = ["RMWComplex", "RMWOpKind", "RMWStats"]
 
+#: Memory words and gradient operands of the bulk path: little-endian u32.
+_WORDS = np.dtype("<u4")
+
 
 class RMWOpKind(enum.Enum):
     """The read-modify-write operations the memory system supports (§2.3)."""
@@ -254,7 +257,9 @@ class RMWComplex:
         Generator — the calling thread blocks for the complex's aggregate
         service time of ``len(values)`` adds, FCFS against all other bulk
         work.  Values and memory words wrap modulo 2^32 (the aggregation
-        semantics of int32 gradient summation).
+        semantics of int32 gradient summation).  A ``<u4`` ndarray (the
+        aggregator's view of the packet bytes) is added as is; any other
+        int sequence is first reduced modulo 2^32.
         """
         n_ops = len(values)
         if n_ops == 0:
@@ -276,11 +281,16 @@ class RMWComplex:
             self.bulk_stats.ops += n_ops
             self.bulk_stats.bytes_serviced += 4 * n_ops
             self.bulk_stats.busy_s += service_s
+            if (values.__class__ is not np.ndarray
+                    or values.dtype != _WORDS):
+                # Any int sequence: reduce modulo 2^32 first; uint32
+                # addition then wraps exactly as int32 summation does.
+                values = (np.asarray(values, dtype=np.int64)
+                          & 0xFFFFFFFF).astype(_WORDS)
             raw = self.storage.read_raw(addr, 4 * n_ops)
-            current = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-            # One final mask suffices: (a + b) mod 2^32 == (a + b mod 2^32).
-            summed = (current + np.asarray(values, dtype=np.int64)) & 0xFFFFFFFF
-            self.storage.write_raw(addr, summed.astype("<u4").tobytes())
+            summed = np.frombuffer(raw, dtype=_WORDS) + values
+            self.storage.write_raw(
+                addr, summed.astype(_WORDS, copy=False).tobytes())
         finally:
             self._bulk_server.release()
             if obs is not None:

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
+import numpy as np
+
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.headers import HeaderError
 from repro.net.packet import Packet
@@ -39,8 +41,7 @@ from repro.trio.rmw import RMWOpKind
 from repro.trioml.protocol import (
     TRIO_ML_UDP_PORT,
     TrioMLHeader,
-    decode_trio_ml,
-    encode_trio_ml,
+    decode_trio_ml_words,
 )
 from repro.trioml.records import BlockRecord, JobRecord
 
@@ -134,6 +135,8 @@ class TrioMLAggregator(TrioApplication):
         self.stale_packets = 0
         self.no_job_drops = 0
         self.block_cap_drops = 0
+        #: Gradient count -> (instructions, tail chunks) of Figure 10.
+        self._plans: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # NF wrapper (repro.nf)
@@ -179,6 +182,7 @@ class TrioMLAggregator(TrioApplication):
 
     def on_install(self, pfe: PFE) -> None:
         self.pfe = pfe
+        self._plans.clear()  # the plan depends on the PFE's head size
         self.drop_counter = PacketByteCounter(pfe.memory)
         if _obs.enabled():
             _obs.register_collector(self._obs_collect)
@@ -240,7 +244,7 @@ class TrioMLAggregator(TrioApplication):
             yield from tctx.execute(2)
             pctx.forward()
             return
-        header, gradients = decode_trio_ml(payload)
+        header, gradients = decode_trio_ml_words(payload)
         if header.final:
             # A final Result packet in transit (multi-device hierarchy,
             # §4): standard IP/multicast forwarding delivers it.
@@ -394,15 +398,42 @@ class TrioMLAggregator(TrioApplication):
         return block
 
     def _aggregate_gradients(self, tctx: ThreadContext, pctx: PacketContext,
-                             block: BlockRecord, gradients: List[int]):
+                             block: BlockRecord, gradients: np.ndarray):
         """Figure 10's two aggregation phases.
 
         Phase one covers the gradients whose bytes arrived in the packet
         head (already in LMEM); phase two loops over the tail in 64-byte
         chunks, each pulled from the Memory and Queueing Subsystem by an
         XTXN.  The adds themselves are performed by the RMW engines.
+
+        ``gradients`` is the ``<u4`` view :func:`decode_trio_ml_words`
+        takes of the packet bytes, handed to ``bulk_add32`` as is.  The
+        instruction count and chunk count depend only on the gradient
+        count, so they are planned once per count.  The first tail chunk
+        goes through the byte-copying path (keeping the LMEM behaviour
+        observable) and the rest are charged in the same event.  The
+        ``bulk_add32`` XTXN is not folded into that event: its access
+        latency reads the shared DRAM-cache LRU, which must happen when
+        the tail reads end, not when they start.
         """
         n = len(gradients)
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans[n] = self._plan(n)
+        instructions, num_chunks = plan
+        if num_chunks:
+            yield from tctx.read_tail(0, self.tail_chunk_bytes,
+                                      more_chunks=num_chunks - 1)
+        yield from tctx.execute(instructions)
+        yield from self.pfe.memory.bulk_add32(
+            block.aggr_paddr, gradients, pre_delay_s=tctx._take_pending(),
+            actor=tctx.thread_id,
+        )
+        self.packets_aggregated += 1
+        self.gradients_aggregated += n
+
+    def _plan(self, n: int) -> Tuple[int, int]:
+        """(instructions, tail chunks) for ``n`` gradients (Figure 10)."""
         header_bytes = 14 + 20 + 8 + TrioMLHeader.SIZE
         head_payload = max(0, self.pfe.config.head_size_bytes - header_bytes)
         head_grads = min(n, head_payload // 4)
@@ -417,18 +448,7 @@ class TrioMLAggregator(TrioApplication):
             instructions += math.ceil(chunk_grads * INSTRUCTIONS_PER_GRADIENT)
             num_chunks += 1
             remaining -= chunk_grads
-        if num_chunks:
-            # First chunk through the byte-copying path (keeps the LMEM
-            # behaviour observable); the rest as lumped equivalent latency.
-            yield from tctx.read_tail(0, self.tail_chunk_bytes)
-            yield from tctx.read_tail_chunks(num_chunks - 1)
-        yield from tctx.execute(instructions)
-        yield from self.pfe.memory.bulk_add32(
-            block.aggr_paddr, gradients, pre_delay_s=tctx._take_pending(),
-            actor=tctx.thread_id,
-        )
-        self.packets_aggregated += 1
-        self.gradients_aggregated += n
+        return instructions, num_chunks
 
     # ------------------------------------------------------------------
     # Result generation (shared with the straggler detector)
@@ -447,7 +467,9 @@ class TrioMLAggregator(TrioApplication):
         n_bytes = 4 * block.grad_cnt
         # The Figure 10 result loop pulls the buffer 256 bytes at a time;
         # per-chunk access latencies are sequential and unconditioned, so
-        # they are charged lumped (timing-equivalent; see read_tail_chunks).
+        # they are charged lumped (timing-equivalent; see read_tail).  The
+        # lump is not folded into bulk_read's event: access_latency_s
+        # touches the shared DRAM-cache LRU after that read completes.
         n_chunks = math.ceil(n_bytes / self.result_chunk_bytes)
         aggregated = yield from memory.bulk_read(
             block.aggr_paddr, n_bytes, pre_delay_s=tctx._take_pending(),

@@ -23,6 +23,7 @@ __all__ = [
     "TRIO_ML_UDP_PORT",
     "TrioMLHeader",
     "decode_trio_ml",
+    "decode_trio_ml_words",
     "encode_trio_ml",
 ]
 
@@ -52,6 +53,18 @@ TRIO_ML_HEADER_LAYOUT = StructLayout(
 )
 
 assert TRIO_ML_HEADER_LAYOUT.size_bytes == 12, "Figure 8 says 12 bytes"
+
+#: (shift, mask) of each named field against the header read as one
+#: big-endian integer, in :class:`TrioMLHeader` constructor order.
+_FIELD_EXTRACT = tuple(
+    (TRIO_ML_HEADER_LAYOUT.total_bits - f.bit_offset - f.width,
+     (1 << f.width) - 1)
+    for f in map(TRIO_ML_HEADER_LAYOUT.field,
+                 ("job_id", "block_id", "src_id", "grad_cnt", "gen_id",
+                  "age_op", "final", "degraded", "src_cnt"))
+)
+
+_GRADIENT_WORDS = np.dtype("<u4")
 
 
 @dataclass
@@ -85,18 +98,22 @@ class TrioMLHeader:
 
     @classmethod
     def unpack(cls, data: Sequence[int]) -> "TrioMLHeader":
-        fields = TRIO_ML_HEADER_LAYOUT.unpack(data)
-        return cls(
-            job_id=fields["job_id"],
-            block_id=fields["block_id"],
-            src_id=fields["src_id"],
-            grad_cnt=fields["grad_cnt"],
-            gen_id=fields["gen_id"],
-            age_op=fields["age_op"],
-            final=bool(fields["final"]),
-            degraded=bool(fields["degraded"]),
-            src_cnt=fields["src_cnt"],
-        )
+        """Parse the first 12 bytes of ``data`` (one integer, no dict)."""
+        size = TRIO_ML_HEADER_LAYOUT.size_bytes
+        chunk = data[:size]
+        if not isinstance(chunk, (bytes, bytearray, memoryview)):
+            chunk = bytes(chunk)
+        if len(chunk) != size:
+            raise ValueError(
+                f"struct {TRIO_ML_HEADER_LAYOUT.name}: need {size} bytes at "
+                f"offset 0, buffer has {len(chunk)}"
+            )
+        window = int.from_bytes(chunk, "big")
+        (job_id, block_id, src_id, grad_cnt, gen_id, age_op, final, degraded,
+         src_cnt) = [(window >> shift) & mask
+                     for shift, mask in _FIELD_EXTRACT]
+        return cls(job_id, block_id, src_id, grad_cnt, gen_id, age_op,
+                   bool(final), bool(degraded), src_cnt)
 
 
 def encode_trio_ml(header: TrioMLHeader, gradients: Sequence[int]) -> bytes:
@@ -117,6 +134,16 @@ def encode_trio_ml(header: TrioMLHeader, gradients: Sequence[int]) -> bytes:
 
 def decode_trio_ml(payload: bytes) -> Tuple[TrioMLHeader, List[int]]:
     """Parse a Trio-ML UDP payload into (header, signed int32 gradients)."""
+    header, words = decode_trio_ml_words(payload)
+    return header, words.view("<i4").tolist()
+
+
+def decode_trio_ml_words(payload: bytes) -> Tuple[TrioMLHeader, np.ndarray]:
+    """Parse a Trio-ML UDP payload into (header, gradient words).
+
+    The words are a read-only ``<u4`` view of ``payload``: the bytes the
+    RMW engines add modulo 2^32, with no per-gradient Python object.
+    """
     if len(payload) < TrioMLHeader.SIZE:
         raise ValueError(f"payload too short for Trio-ML header: {len(payload)}")
     header = TrioMLHeader.unpack(payload[: TrioMLHeader.SIZE])
@@ -126,5 +153,4 @@ def decode_trio_ml(payload: bytes) -> Tuple[TrioMLHeader, List[int]]:
             f"payload truncated: expected {4 * header.grad_cnt} gradient "
             f"bytes, got {len(body)}"
         )
-    gradients = np.frombuffer(body, dtype="<i4").tolist()
-    return header, gradients
+    return header, np.frombuffer(body, dtype=_GRADIENT_WORDS)

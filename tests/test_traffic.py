@@ -354,6 +354,34 @@ FAMILY_GOLDENS = {
 }
 
 
+class TestHybridScenarioKnobs:
+    """Burst fractions are probabilities of one arrival: each in [0, 1]
+    and together at most 1, rejected at construction naming the knob."""
+
+    def test_fraction_above_one_rejected(self):
+        with pytest.raises(ValueError, match="incast_fraction"):
+            HybridScenario(incast_fraction=2.0)
+
+    def test_negative_fraction_rejected(self):
+        with pytest.raises(ValueError, match="aggregation_fraction"):
+            HybridScenario(aggregation_fraction=-0.5)
+
+    def test_nan_fraction_rejected(self):
+        with pytest.raises(ValueError, match="incast_fraction"):
+            HybridScenario(incast_fraction=math.nan)
+        with pytest.raises(ValueError, match="aggregation_fraction"):
+            HybridScenario(aggregation_fraction=math.nan)
+
+    def test_fractions_summing_above_one_rejected(self):
+        with pytest.raises(ValueError, match="incast_fraction \\+ "
+                                             "aggregation_fraction"):
+            HybridScenario(incast_fraction=0.7, aggregation_fraction=0.6)
+
+    def test_boundary_fractions_accepted(self):
+        HybridScenario(incast_fraction=0.0, aggregation_fraction=1.0)
+        HybridScenario(incast_fraction=0.5, aggregation_fraction=0.5)
+
+
 class TestGoldenFingerprints:
     """Every generator's draws and the canonical hybrid run's outcome,
     pinned so refactors of the workload layer stay bit-identical."""
@@ -394,7 +422,7 @@ class TestGoldenFingerprints:
         assert _run_fingerprint(result) == (
             "8c9413f569c8821c46ee57a05c17125dc038d3316721eb5714a57bb520f21a9b"
         )
-        assert result.scheduled_events == 6070
+        assert result.scheduled_events == 5934
         assert result.wake == {"scheduled": 2004, "cancelled": 62,
                                "reused": 1803, "stale": 64}
 

@@ -85,6 +85,23 @@ class TestRegionsAndAllocator:
         with pytest.raises(MemoryError_):
             memory.read_raw(0xDEAD_BEEF_000, 8)
 
+    def test_region_by_address_at_the_boundaries(self, mem):
+        __, memory = mem
+        sram, dram = memory.sram, memory.dram
+        assert memory.region_of(sram.base) is sram
+        assert memory.region_of(sram.end - 1) is sram
+        assert memory.region_of(dram.base) is dram
+        assert memory.region_of(dram.end - 1) is dram
+        for addr in (-1, sram.end, dram.base - 1, dram.end):
+            with pytest.raises(MemoryError_, match="unified space"):
+                memory.region_of(addr)
+
+    def test_sram_overlapping_dram_rejected(self):
+        too_big = GENERATIONS[5].scaled(
+            sram_bytes=SharedMemorySystem.DRAM_BASE + 64)
+        with pytest.raises(MemoryError_, match="overlaps DRAM"):
+            SharedMemorySystem(Environment(), too_big)
+
     def test_raw_roundtrip_across_pages(self, mem):
         __, memory = mem
         addr = memory.alloc(8192, region="dram")
