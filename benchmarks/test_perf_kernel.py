@@ -34,7 +34,8 @@ def _sustained(bench, floor: float, attempts: int = 3) -> float:
     """
     best = 0.0
     for _ in range(attempts):
-        best = max(best, bench(events=200_000, repeats=5))
+        rate, __ = bench(events=200_000, repeats=5)
+        best = max(best, rate)
         if best >= floor:
             break
     return best
@@ -131,7 +132,7 @@ def test_flowsim_meets_bytes_per_cpu_second_floor():
     than the packet level.
 
     With the incremental path-class solver, full sizing (10^4 flows)
-    lands ~900-1000x on the reference box; the reduced sizing here
+    lands ~700-750x on the reference box; the reduced sizing here
     keeps the test fast while staying far enough above the floor that
     scheduler noise cannot trip it.  The packet side reuses the macro
     data-plane bench so both sides share the process_time/GC-paused
